@@ -15,7 +15,7 @@ import numpy as np
 
 from . import io as rio
 from .core import DomainError, FeatureMatrix
-from .index import encode_database, evaluate, search
+from .index import _prefix_reconstructions, encode_database, evaluate, prefix_reconstruction_blocks, search
 from .synth import synth_dataset
 from .train import ALL_FLAGS, HEAD_FLAGS, LabelEmbeddings, TrainConfig, train
 
@@ -114,20 +114,16 @@ def cmd_encode(args) -> int:
     data = rio.read_fvecs(args.input)
     if data.shape[0] and data.shape[1] != model.dim:
         raise DomainError(f"vector dim {data.shape[1]} does not match model dim {model.dim}")
-    if data.shape[0] == 0:
-        data = np.empty((0, model.dim))
     db = encode_database(data, model)
     rio.save_codes(db, args.out)
     if data.shape[0]:
-        from .train import distortion_losses
-
-        report = distortion_losses(data, model)
-        for m, err in enumerate(report.per_level_hard, start=1):
-            print(f"level={m} mean_e_hard={err:.6f}")
+        err = np.zeros(model.levels)
+        for rows, m, recon in prefix_reconstruction_blocks(db.codes, model):
+            err[m - 1] += np.linalg.norm(recon - data[rows], axis=1).sum()
+        for m, total in enumerate(err, start=1):
+            print(f"level={m} mean_e_hard={total / data.shape[0]:.6f}")
     print(f"encoded {db.n} vectors to {args.out}")
     if args.reconstruct:
-        from .index import _prefix_reconstructions
-
         recon = _prefix_reconstructions(db.codes, model, model.levels)
         rio.write_fvecs(recon, args.reconstruct)
         print(f"wrote reconstructions to {args.reconstruct}")

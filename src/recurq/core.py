@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+_ENCODE_CELLS = 1 << 16  # distance-matrix entries per encode block: 256 rows at K=256
+
 
 class DomainError(ValueError):
     """Invalid input to a quantization operation."""
@@ -255,23 +257,22 @@ def encode(x, model: RqModel) -> tuple[CodeSequence, QuantTrace]:
 
 def encode_batch(data, model: RqModel) -> np.ndarray:
     """Vectorized hard-path encoding of an N x D matrix; returns N x M codes."""
-    x = _as_matrix(data, "data") if np.ndim(data) == 2 else np.asarray(data)
+    x = _as_matrix(data, "data")
     if x.shape[1] != model.dim:
         raise DomainError("input dimension does not match model")
-    n = x.shape[0]
-    codes = np.empty((n, model.levels), dtype=np.int64)
-    h = x.astype(np.float64, copy=True)
-    for m in range(1, model.levels + 1):
-        scaled = model.scaled_codebook(m)
-        # squared distances: ranks match the Euclidean argmin exactly
-        d2 = (
-            np.einsum("nd,nd->n", h, h)[:, None]
-            - 2.0 * h @ scaled.T
-            + np.einsum("kd,kd->k", scaled, scaled)[None, :]
-        )
-        idx = np.argmin(d2, axis=1)
-        codes[:, m - 1] = idx
-        h -= scaled[idx]
+    codes = np.empty((x.shape[0], model.levels), dtype=np.int64)
+    books = [model.scaled_codebook(m) for m in range(1, model.levels + 1)]
+    book_sq = [np.einsum("kd,kd->k", scaled, scaled) for scaled in books]
+    # row blocks keep each (rows, K) temporary cache-sized instead of N x K fresh pages
+    rows = max(1, _ENCODE_CELLS // model.k)
+    for start in range(0, x.shape[0], rows):
+        h = x[start : start + rows].copy()
+        for i, scaled in enumerate(books):
+            # squared distances: ranks match the Euclidean argmin exactly
+            d2 = np.einsum("nd,nd->n", h, h)[:, None] - 2.0 * h @ scaled.T + book_sq[i][None, :]
+            idx = np.argmin(d2, axis=1)
+            codes[start : start + rows, i] = idx
+            h -= scaled[idx]
     return codes
 
 
@@ -304,32 +305,38 @@ def packed_size(m: int, k: int) -> int:
     return (m * _bits_for_k(k) + 7) // 8
 
 
-def pack_codes(codes: CodeSequence, k: int) -> bytes:
-    """Pack sub-indices MSB-first into a byte string; the final partial byte
-    is zero-padded in its low bits."""
-    bits = _bits_for_k(k)
-    idx = codes.indices
-    if np.any(idx >= k):
+def pack_rows(codes: np.ndarray, k: int) -> np.ndarray:
+    """Pack (N, M) sub-indices into (N, packed_size(M, k)) bytes, each row
+    MSB-first with its final partial byte zero-padded in the low bits."""
+    bits, (n, m) = _bits_for_k(k), codes.shape
+    if codes.size and (codes.min() < 0 or codes.max() >= k):
         raise DomainError("sub-index out of range for K")
-    total_bits = len(codes) * bits
-    nbytes = (total_bits + 7) // 8
-    value = 0
-    for i in idx:
-        value = (value << bits) | int(i)
-    value <<= nbytes * 8 - total_bits
-    return value.to_bytes(nbytes, "big")
+    width = (bits + 7) // 8  # bytes per sub-index, MSB-aligned
+    words = (codes.astype(np.int64) << (8 * width - bits)).astype(f">u{width}")
+    code_bits = np.unpackbits(words.view(np.uint8).reshape(n, m, width), axis=2)[:, :, :bits]
+    return np.packbits(code_bits.reshape(n, m * bits), axis=1)
+
+
+def unpack_rows(packed: np.ndarray, m: int, k: int) -> np.ndarray:
+    """Inverse of :func:`pack_rows`: (N, packed_size(m, k)) bytes to (N, m) int64."""
+    bits = _bits_for_k(k)
+    width = (bits + 7) // 8
+    code_bits = np.unpackbits(packed, axis=1, count=m * bits).reshape(len(packed), m, bits)
+    words = np.packbits(code_bits, axis=2).view(f">u{width}")[:, :, 0]
+    return words.astype(np.int64) >> (8 * width - bits)
+
+
+def pack_codes(codes: CodeSequence, k: int) -> bytes:
+    """Pack one code MSB-first; the final partial byte is zero-padded in its low bits."""
+    return pack_rows(codes.indices[None, :], k).tobytes()
 
 
 def unpack_codes(data: bytes, m: int, k: int) -> CodeSequence:
     """Inverse of :func:`pack_codes` for an m-level code."""
-    bits = _bits_for_k(k)
-    nbytes = (m * bits + 7) // 8
+    nbytes = packed_size(m, k)
     if len(data) != nbytes:
         raise DomainError(f"expected {nbytes} packed bytes, got {len(data)}")
-    value = int.from_bytes(data, "big") >> (nbytes * 8 - m * bits)
-    mask = k - 1
-    indices = [(value >> (bits * (m - 1 - i))) & mask for i in range(m)]
-    return CodeSequence(np.array(indices, dtype=np.int64))
+    return CodeSequence(unpack_rows(np.frombuffer(data, dtype=np.uint8)[None, :], m, k)[0])
 
 
 def slice_prefix(codes: CodeSequence, m: int) -> CodeSequence:

@@ -6,28 +6,37 @@ item i is ||q||^2 - 2 * sum_m table[m, code_im] + ||recon_i||^2, which equals
 the squared Euclidean distance to the item's reconstruction. Ties break by
 ascending id. All accumulation is in float64 so rankings agree exactly with
 a brute-force reconstruction scan.
+
+Every level shares one codebook, so a database holds the squared norms of
+all prefix reconstructions and a prefix query costs the same as a full one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .core import DomainError, FeatureMatrix, RqModel, _as_matrix, _as_vector, encode_batch
+from .core import DomainError, FeatureMatrix, RqModel, _as_vector, encode_batch
+
+_ROW_CHUNK = 1024  # rows reconstructed at a time: temporaries stay O(chunk * D), cache-sized at D=64
 
 
 @dataclass
 class EncodedDatabase:
     codes: np.ndarray  # (N, M) sub-indices
-    recon_sq_norms: np.ndarray  # (N,) squared reconstruction norms at full length
+    prefix_sq_norms: np.ndarray  # (N, M): column m-1 holds ||m-level reconstruction||^2
     model: RqModel
     ids: np.ndarray  # (N,) external item identifiers
-    prefix_sq_norms: np.ndarray | None = None  # optional (N, M) per-prefix norms
 
     @property
     def n(self) -> int:
         return self.codes.shape[0]
+
+    @property
+    def recon_sq_norms(self) -> np.ndarray:  # (N,) squared norms at full length
+        return self.prefix_sq_norms[:, -1]
 
 
 @dataclass
@@ -51,36 +60,38 @@ def _prefix_reconstructions(codes: np.ndarray, model: RqModel, m: int) -> np.nda
     return recon
 
 
+def prefix_reconstruction_blocks(codes: np.ndarray, model: RqModel):
+    """Yield ``(rows, m, recon)`` per row block for m = 1..M; ``recon``, updated in place as m
+    grows, holds the m-level reconstructions of ``codes[rows]`` (as :func:`_prefix_reconstructions`)."""
+    weights = model.scale ** np.arange(model.levels)
+    for start in range(0, codes.shape[0], _ROW_CHUNK):
+        rows = slice(start, start + _ROW_CHUNK)
+        block = codes[rows]
+        recon = np.zeros((block.shape[0], model.dim))
+        for i in range(model.levels):
+            recon += weights[i] * model.codebook[block[:, i]]
+            yield rows, i + 1, recon
+
+
+def database_from_codes(codes: np.ndarray, model: RqModel, ids=None) -> EncodedDatabase:
+    """Database over (N, M) codes with the squared norms of every prefix length."""
+    n = codes.shape[0]
+    ids = np.arange(n, dtype=np.int64) if ids is None else np.asarray(ids, dtype=np.int64)
+    if ids.shape != (n,):
+        raise DomainError("ids length must match number of rows")
+    # column-major, so the column a query of any prefix length reads is contiguous
+    norms = np.empty((n, model.levels), order="F")
+    for rows, m, recon in prefix_reconstruction_blocks(codes, model):
+        norms[rows, m - 1] = np.einsum("nd,nd->n", recon, recon)
+    return EncodedDatabase(codes, norms, model, ids)
+
+
 def encode_database(features, model: RqModel, ids=None, cache_prefix_norms: bool = False) -> EncodedDatabase:
-    """Encode every row and cache squared reconstruction norms."""
+    """Encode every row into a database; ``cache_prefix_norms`` has no effect
+    (every database holds the norms of every prefix length)."""
     x = features.data if isinstance(features, FeatureMatrix) else np.asarray(features, dtype=np.float64)
-    if x.size == 0:
-        n = 0
-        codes = np.empty((0, model.levels), dtype=np.int64)
-    else:
-        x = _as_matrix(x, "features")
-        if x.shape[1] != model.dim:
-            raise DomainError("feature dimension does not match model")
-        n = x.shape[0]
-        codes = encode_batch(x, model)
-    if ids is None:
-        ids = np.arange(n, dtype=np.int64)
-    else:
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.shape != (n,):
-            raise DomainError("ids length must match number of rows")
-    prefix = None
-    if cache_prefix_norms:
-        prefix = np.empty((n, model.levels))
-        recon = np.zeros((n, model.dim))
-        for m in range(1, model.levels + 1):
-            recon += model.scale ** (m - 1) * model.codebook[codes[:, m - 1]]
-            prefix[:, m - 1] = np.einsum("nd,nd->n", recon, recon)
-        norms = prefix[:, -1].copy() if n else np.empty(0)
-    else:
-        recon = _prefix_reconstructions(codes, model, model.levels)
-        norms = np.einsum("nd,nd->n", recon, recon)
-    return EncodedDatabase(codes, norms, model, ids, prefix)
+    codes = np.empty((0, model.levels), dtype=np.int64) if x.size == 0 else encode_batch(x, model)
+    return database_from_codes(codes, model, ids)
 
 
 def build_adc_table(query, model: RqModel) -> AdcTable:
@@ -100,19 +111,10 @@ def adc_distances(query, db: EncodedDatabase, prefix_m: int | None = None) -> np
     if not 1 <= m <= model.levels:
         raise DomainError(f"prefix level {m} out of range")
     table = build_adc_table(query, model)
-    if db.n == 0:
-        return np.empty(0)
     cross = np.zeros(db.n)
     for i in range(m):
         cross += table.dot_table[i, db.codes[:, i]]
-    if m == model.levels:
-        norms = db.recon_sq_norms
-    elif db.prefix_sq_norms is not None:
-        norms = db.prefix_sq_norms[:, m - 1]
-    else:
-        recon = _prefix_reconstructions(db.codes, model, m)
-        norms = np.einsum("nd,nd->n", recon, recon)
-    return table.query_sq_norm - 2.0 * cross + norms
+    return table.query_sq_norm - 2.0 * cross + db.prefix_sq_norms[:, m - 1]
 
 
 def search(query, db: EncodedDatabase, top_k: int, prefix_m: int | None = None):
@@ -122,8 +124,10 @@ def search(query, db: EncodedDatabase, top_k: int, prefix_m: int | None = None):
     if db.n == 0:
         return np.empty(0, dtype=np.int64), np.empty(0)
     dists = adc_distances(query, db, prefix_m)
-    order = np.lexsort((db.ids, dists))
-    order = order[: min(top_k, db.n)]
+    k = min(top_k, db.n)
+    # candidates include every item tied at the k-th distance: their (distance, id) sort is exact
+    cand = np.flatnonzero(dists <= np.partition(dists, k - 1)[k - 1])
+    order = cand[np.lexsort((db.ids[cand], dists[cand]))][:k]
     return db.ids[order], dists[order]
 
 
@@ -157,11 +161,19 @@ def evaluate(
     ap_values = []
     prec_sums = np.zeros(n)
     rec_sums = np.zeros(n)
-    db_sets = [frozenset(s) for s in db_labels]
+    # inverted index, label id -> rows whose label set holds it
+    sizes = np.fromiter(map(len, db_labels), dtype=np.int64, count=n)
+    labels = np.fromiter(chain.from_iterable(db_labels), dtype=np.int64, count=int(sizes.sum()))
+    by_label = np.argsort(labels, kind="stable")
+    keys, starts = np.unique(labels[by_label], return_index=True)
+    rows_of = dict(zip(keys.tolist(), np.split(np.repeat(np.arange(n), sizes)[by_label], starts[1:])))
     for qi in range(queries.n):
         dists = adc_distances(queries.data[qi], db, prefix_m)
         order = np.lexsort((db.ids, dists))
-        rel = np.fromiter((1.0 if db_sets[j] & q_sets[qi] else 0.0 for j in order), dtype=np.float64, count=n)
+        relevant = np.zeros(n, dtype=bool)
+        for label in q_sets[qi]:
+            relevant[rows_of.get(label, [])] = True
+        rel = relevant[order].astype(np.float64)
         total_rel = int(rel.sum())
         ap_values.append(average_precision(rel, total_rel, r_cutoff))
         hits = np.cumsum(rel)
@@ -170,7 +182,7 @@ def evaluate(
     nq = queries.n
     mean_prec = prec_sums / nq
     mean_rec = rec_sums / nq
-    pr_curve = [(float(mean_rec[r]), float(mean_prec[r])) for r in range(n)]
+    pr_curve = list(zip(mean_rec.tolist(), mean_prec.tolist()))
     precision_points = [
         (int(r), float(mean_prec[min(r, n) - 1])) for r in precision_at if r >= 1
     ]

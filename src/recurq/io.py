@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DomainError, RqModel, packed_size
-from .index import EncodedDatabase
+from .core import DomainError, RqModel, pack_rows, packed_size, unpack_rows
+from .index import EncodedDatabase, database_from_codes
 
 MODEL_MAGIC = b"DRQM"
 CODE_MAGIC = b"DRQC"
@@ -87,20 +87,13 @@ def load_model(path) -> RqModel:
 def save_codes(db: EncodedDatabase, path) -> None:
     model = db.model
     header = CODE_MAGIC + struct.pack("<HQII", FORMAT_VERSION, db.n, model.levels, model.k)
-    record = packed_size(model.levels, model.k)
-    bits = model.k.bit_length() - 1
-    parts = [header]
-    for row in db.codes:
-        value = 0
-        for i in row:
-            value = (value << bits) | int(i)
-        value <<= record * 8 - model.levels * bits
-        parts.append(value.to_bytes(record, "big"))
-    parts.append(db.recon_sq_norms.astype("<f4").tobytes())
-    _atomic_write(path, _with_crc(b"".join(parts)))
+    body = pack_rows(db.codes, model.k).tobytes() + db.recon_sq_norms.astype("<f4").tobytes()
+    _atomic_write(path, _with_crc(header + body))
 
 
 def load_codes(path, model: RqModel) -> EncodedDatabase:
+    """Read a DRQC file; norms are recomputed from codes and model (the stored
+    f32 norms are only CRC-checked), so it ranks exactly like the saved one."""
     data = Path(path).read_bytes()
     payload = _check_crc(data, path)
     if payload[:4] != CODE_MAGIC:
@@ -115,17 +108,8 @@ def load_codes(path, model: RqModel) -> EncodedDatabase:
     expected = header_len + n * record + 4 * n
     if len(payload) != expected:
         raise FileFormatError(f"{path}: size mismatch for N={n}")
-    bits = k.bit_length() - 1
-    mask = k - 1
-    codes = np.empty((n, m), dtype=np.int64)
-    off = header_len
-    for r in range(n):
-        value = int.from_bytes(payload[off : off + record], "big") >> (record * 8 - m * bits)
-        for i in range(m):
-            codes[r, i] = (value >> (bits * (m - 1 - i))) & mask
-        off += record
-    norms = np.frombuffer(payload[off : off + 4 * n], dtype="<f4").astype(np.float64)
-    return EncodedDatabase(codes, norms, model, np.arange(n, dtype=np.int64))
+    packed = np.frombuffer(payload, dtype=np.uint8, count=n * record, offset=header_len)
+    return database_from_codes(unpack_rows(packed.reshape(n, record), m, k), model)
 
 
 def write_fvecs(data: np.ndarray, path) -> None:

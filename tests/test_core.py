@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recurq import (
     CodeSequence,
@@ -16,6 +18,7 @@ from recurq import (
     soft_quantize,
     unpack_codes,
 )
+from recurq.core import pack_rows, unpack_rows
 
 
 def random_model(rng, k=16, d=8, m=3, gamma=5.0):
@@ -160,6 +163,17 @@ class TestEncode:
             codes, _ = encode(x[i], model)
             assert np.array_equal(batch_codes[i], codes.indices)
 
+    def test_batch_across_row_blocks(self):
+        # K=1024 encodes 64 rows per block: 150 rows span three blocks
+        rng = np.random.default_rng(12)
+        model = random_model(rng, k=1024, d=5, m=3)
+        x = rng.normal(size=(150, 5))
+        batch_codes = encode_batch(x, model)
+        assert np.array_equal(batch_codes[37:], encode_batch(x[37:], model))
+        for i in range(150):
+            codes, _ = encode(x[i], model)
+            assert np.array_equal(batch_codes[i], codes.indices)
+
 
 class TestReconstruct:
     def test_prefix_example(self):
@@ -247,6 +261,38 @@ class TestPacking:
     def test_rejects_out_of_range_index(self):
         with pytest.raises(DomainError):
             pack_codes(CodeSequence(np.array([16])), 16)
+
+
+def reference_pack_rows(codes: np.ndarray, k: int) -> bytes:
+    """Per-row big-integer packer: the layout pack_rows must reproduce."""
+    bits = k.bit_length() - 1
+    record = (codes.shape[1] * bits + 7) // 8
+    out = bytearray()
+    for row in codes:
+        value = 0
+        for i in row:
+            value = (value << bits) | int(i)
+        value <<= record * 8 - codes.shape[1] * bits
+        out += value.to_bytes(record, "big")
+    return bytes(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bits=st.integers(1, 16), m=st.integers(1, 16), n=st.integers(0, 6), data=st.data())
+def test_pack_rows_matches_reference(bits, m, n, data):
+    k = 1 << bits
+    rows = data.draw(st.lists(st.lists(st.integers(0, k - 1), min_size=m, max_size=m), min_size=n, max_size=n))
+    codes = np.array(rows, dtype=np.int64).reshape(n, m)
+    packed = pack_rows(codes, k)
+    assert packed.shape == (n, packed_size(m, k))
+    assert packed.tobytes() == reference_pack_rows(codes, k)
+    assert np.array_equal(unpack_rows(packed, m, k), codes)
+
+
+def test_pack_rows_rejects_out_of_range():
+    for bad in (np.array([[0, 16]]), np.array([[-1, 0]])):
+        with pytest.raises(DomainError):
+            pack_rows(bad, 16)
 
 
 class TestSlicePrefix:

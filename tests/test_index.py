@@ -67,6 +67,18 @@ class TestEncodeDatabase:
         )
 
 
+@pytest.mark.parametrize("k,m", [(2, 1), (2, 16), (16, 5), (16, 16), (256, 3), (256, 8)])
+def test_prefix_norms_equal_reconstruction_norms(k, m):
+    rng = np.random.default_rng(k * 100 + m)
+    model = random_model(rng, k=k, d=8, m=m)
+    db = encode_database(rng.normal(size=(2100, 8)), model)  # spans several row chunks
+    assert db.prefix_sq_norms.shape == (2100, m)
+    for p in range(1, m + 1):
+        recon = _prefix_reconstructions(db.codes, model, p)
+        assert np.array_equal(db.prefix_sq_norms[:, p - 1], np.einsum("nd,nd->n", recon, recon))
+    assert np.array_equal(db.recon_sq_norms, db.prefix_sq_norms[:, -1])
+
+
 class TestAdcTable:
     def test_unit_scale_rows_identical(self):
         rng = np.random.default_rng(44)
@@ -165,6 +177,42 @@ class TestSearch:
         assert list(ids[:2]) == [0, 1]
 
 
+    def test_forced_ties_match_brute_force(self):
+        # dyadic codebook, scale, data and queries: every distance is exact,
+        # so equal codes and distinct codes with equal norms tie exactly
+        cb = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        model = RqModel(cb, 0.5, 5.0, 3)
+        rng = np.random.default_rng(57)
+        distinct = rng.integers(-4, 5, size=(7, 2)) * 0.25
+        x = np.repeat(distinct, 4, axis=0)[rng.permutation(28)]
+        db = encode_database(x, model, ids=np.arange(28)[::-1])
+        straddled = 0
+        for q in (np.zeros(2), np.array([0.5, -0.25]), distinct[0]):
+            for m in (1, 2, 3):
+                order = brute_force_order(q, db, m)
+                want = db.ids[order]
+                exact = adc_distances(q, db, m)[order]
+                straddled += int(np.sum(exact[1:] == exact[:-1]))
+                for k in range(1, 31):
+                    ids, dists = search(q, db, top_k=k, prefix_m=m)
+                    assert np.array_equal(ids, want[:k])
+                    assert np.array_equal(dists, exact[:k])
+        assert straddled > 0
+
+    def test_partial_top_k_matches_full_sort(self):
+        rng = np.random.default_rng(58)
+        model = random_model(rng, k=16, d=8, m=4)
+        db = encode_database(rng.normal(size=(500, 8)), model, ids=rng.permutation(500))
+        for _ in range(5):
+            q = rng.normal(size=8)
+            for m in (1, 2, 4):
+                full_ids, full_dists = search(q, db, top_k=500, prefix_m=m)
+                for k in (1, 7, 100, 499):
+                    ids, dists = search(q, db, top_k=k, prefix_m=m)
+                    assert np.array_equal(ids, full_ids[:k])
+                    assert np.array_equal(dists, full_dists[:k])
+
+
 class TestEvaluate:
     def test_hand_computed_ap(self):
         relevant = np.array([1.0, 0.0, 1.0])
@@ -220,6 +268,23 @@ class TestEvaluate:
         ra = evaluate(queries, db_a, labels_a, r_cutoff=15)
         rb = evaluate(queries, db_b, labels_b, r_cutoff=15)
         assert ra.map_at_r == pytest.approx(rb.map_at_r, abs=1e-12)
+
+    def test_multi_label_relevance_matches_set_intersection(self):
+        rng = np.random.default_rng(59)
+        model = random_model(rng, k=8, d=4, m=2)
+        db = encode_database(rng.normal(size=(60, 4)), model, ids=rng.permutation(60))
+        db_labels = [frozenset(rng.choice(6, size=rng.integers(0, 3), replace=False).tolist()) for _ in range(60)]
+        q_labels = [frozenset(rng.choice(8, size=rng.integers(1, 3), replace=False).tolist()) for _ in range(5)]
+        queries = FeatureMatrix(rng.normal(size=(5, 4)), multi_labels=q_labels)
+        report = evaluate(queries, db, db_labels, r_cutoff=10, prefix_m=1)
+        aps, prec = [], np.zeros(60)
+        for qi in range(5):
+            order = np.lexsort((db.ids, adc_distances(queries.data[qi], db, 1)))
+            rel = np.array([1.0 if db_labels[j] & q_labels[qi] else 0.0 for j in order])
+            aps.append(average_precision(rel, int(rel.sum()), 10))
+            prec += np.cumsum(rel) / np.arange(1, 61)
+        assert report.map_at_r == np.mean(aps)
+        assert [p for _, p in report.pr_curve] == (prec / 5).tolist()
 
     def test_missing_labels_rejected(self):
         rng = np.random.default_rng(56)

@@ -22,6 +22,7 @@ from recurq import (
     write_labels,
 )
 from recurq.cli import main
+from recurq.index import adc_distances
 
 
 def make_model(rng, k=8, d=6, m=3):
@@ -73,6 +74,18 @@ class TestCodeFile:
             ids_a, _ = search(fm.data[qi], db, top_k=20)
             ids_b, _ = search(fm.data[qi], db2, top_k=20)
             assert np.array_equal(ids_a, ids_b)
+
+    def test_loaded_distances_equal_in_memory(self, tmp_path):
+        rng = np.random.default_rng(66)
+        for k, m in ((2, 9), (16, 4), (256, 3)):
+            model = RqModel(rng.normal(size=(k, 6)), 0.6, 20.0, m)
+            db = encode_database(rng.normal(size=(1500, 6)), model)
+            path = tmp_path / f"c_{k}.drqc"
+            save_codes(db, path)
+            db2 = load_codes(path, model)
+            q = rng.normal(size=6)
+            for p in range(1, m + 1):
+                assert np.array_equal(adc_distances(q, db2, p), adc_distances(q, db, p))
 
     def test_size_formula(self, tmp_path):
         rng = np.random.default_rng(63)
