@@ -8,6 +8,7 @@ computed in float64; argmin ties break toward the smallest index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -209,6 +210,50 @@ def soft_quantize(x, codebook, gamma: float) -> SoftAssignment:
     return SoftAssignment(probs=probs, expected=probs @ cb)
 
 
+def _level_books(model: RqModel) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-level ``(w^(m-1) * C, squared row norms)`` of the shared codebook."""
+    books = [model.scaled_codebook(m) for m in range(1, model.levels + 1)]
+    return [(scaled, np.einsum("kd,kd->k", scaled, scaled)) for scaled in books]
+
+
+class _Level(NamedTuple):
+    h: np.ndarray  # (N, D) residual entering the level; h^0 is the input
+    idx: np.ndarray  # (N,) selected sub-indices
+    hard: np.ndarray  # (N, D) selected codewords
+    dist: np.ndarray | None  # (N, K) Euclidean distances, soft path only
+    probs: np.ndarray | None  # (N, K) softmax weights, soft path only
+    soft: np.ndarray | None  # (N, D) blended codewords, soft path only
+
+
+def _recurrence(x: np.ndarray, books, gamma: float | None = None):
+    """The shared-codebook recurrence over the rows of ``x``: yield one
+    :class:`_Level` per entry of ``books`` (see :func:`_level_books`). Each level
+    takes the nearest scaled codeword (ties to the smallest index) and passes
+    the residual on; with ``gamma`` it also yields the softmax over
+    ``-gamma * distance`` and the blended codeword."""
+    h = x
+    for scaled, book_sq in books:
+        # squared distances ||h||^2 - 2 h.c + ||c||^2, built in one (N, K) array: fresh
+        # (N, K) temporaries at every level cost page faults in encode_batch
+        d2 = h @ scaled.T
+        d2 *= -2.0
+        d2 += np.einsum("nd,nd->n", h, h)[:, None]
+        d2 += book_sq
+        np.maximum(d2, 0.0, out=d2)
+        idx = np.argmin(d2, axis=1)
+        hard = scaled[idx]
+        dist = probs = soft = None
+        if gamma is not None:
+            dist = np.sqrt(d2)
+            logits = -gamma * dist
+            logits -= logits.max(axis=1, keepdims=True)
+            probs = np.exp(logits)
+            probs /= probs.sum(axis=1, keepdims=True)
+            soft = probs @ scaled
+        yield _Level(h, idx, hard, dist, probs, soft)
+        h = h - hard
+
+
 def encode(x, model: RqModel) -> tuple[CodeSequence, QuantTrace]:
     """Greedy recurrent encoding: at each level quantize the current residual
     against the scaled codebook, subtract the selected codeword, and shrink
@@ -216,43 +261,18 @@ def encode(x, model: RqModel) -> tuple[CodeSequence, QuantTrace]:
     x = _as_vector(x, "x")
     if x.shape[0] != model.dim:
         raise DomainError("input dimension does not match model")
-    m_levels, d, k = model.levels, model.dim, model.k
-    states = np.empty((m_levels + 1, d))
-    hard_partials = np.empty((m_levels, d))
-    soft_partials = np.empty((m_levels, d))
-    probs = np.empty((m_levels, k))
-    hard_err = np.empty(m_levels)
-    soft_err = np.empty(m_levels)
-    indices = np.empty(m_levels, dtype=np.int64)
-
-    states[0] = x
-    h = x.copy()
-    hard_sum = np.zeros(d)
-    soft_sum = np.zeros(d)
-    for m in range(1, m_levels + 1):
-        scaled = model.scaled_codebook(m)
-        idx, codeword = hard_quantize(h, scaled)
-        soft = soft_quantize(h, scaled, model.gamma)
-        indices[m - 1] = idx
-        hard_partials[m - 1] = codeword
-        soft_partials[m - 1] = soft.expected
-        probs[m - 1] = soft.probs
-        hard_sum += codeword
-        soft_sum += soft.expected
-        hard_err[m - 1] = np.linalg.norm(hard_sum - x)
-        soft_err[m - 1] = np.linalg.norm(soft_sum - x)
-        h = h - codeword
-        states[m] = h
-
+    levels = list(_recurrence(x[None, :], _level_books(model), model.gamma))
+    hard = np.concatenate([lv.hard for lv in levels])
+    soft = np.concatenate([lv.soft for lv in levels])
     trace = QuantTrace(
-        states=states,
-        hard_partials=hard_partials,
-        soft_partials=soft_partials,
-        per_level_hard_err=hard_err,
-        per_level_soft_err=soft_err,
-        probs=probs,
+        states=np.concatenate([lv.h for lv in levels] + [levels[-1].h - levels[-1].hard]),
+        hard_partials=hard,
+        soft_partials=soft,
+        per_level_hard_err=np.linalg.norm(np.cumsum(hard, axis=0) - x, axis=1),
+        per_level_soft_err=np.linalg.norm(np.cumsum(soft, axis=0) - x, axis=1),
+        probs=np.concatenate([lv.probs for lv in levels]),
     )
-    return CodeSequence(indices), trace
+    return CodeSequence(np.concatenate([lv.idx for lv in levels])), trace
 
 
 def encode_batch(data, model: RqModel) -> np.ndarray:
@@ -261,18 +281,12 @@ def encode_batch(data, model: RqModel) -> np.ndarray:
     if x.shape[1] != model.dim:
         raise DomainError("input dimension does not match model")
     codes = np.empty((x.shape[0], model.levels), dtype=np.int64)
-    books = [model.scaled_codebook(m) for m in range(1, model.levels + 1)]
-    book_sq = [np.einsum("kd,kd->k", scaled, scaled) for scaled in books]
+    books = _level_books(model)
     # row blocks keep each (rows, K) temporary cache-sized instead of N x K fresh pages
     rows = max(1, _ENCODE_CELLS // model.k)
     for start in range(0, x.shape[0], rows):
-        h = x[start : start + rows].copy()
-        for i, scaled in enumerate(books):
-            # squared distances: ranks match the Euclidean argmin exactly
-            d2 = np.einsum("nd,nd->n", h, h)[:, None] - 2.0 * h @ scaled.T + book_sq[i][None, :]
-            idx = np.argmin(d2, axis=1)
-            codes[start : start + rows, i] = idx
-            h -= scaled[idx]
+        for i, lv in enumerate(_recurrence(x[start : start + rows], books)):
+            codes[start : start + rows, i] = lv.idx
     return codes
 
 

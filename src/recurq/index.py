@@ -86,9 +86,8 @@ def database_from_codes(codes: np.ndarray, model: RqModel, ids=None) -> EncodedD
     return EncodedDatabase(codes, norms, model, ids)
 
 
-def encode_database(features, model: RqModel, ids=None, cache_prefix_norms: bool = False) -> EncodedDatabase:
-    """Encode every row into a database; ``cache_prefix_norms`` has no effect
-    (every database holds the norms of every prefix length)."""
+def encode_database(features, model: RqModel, ids=None) -> EncodedDatabase:
+    """Encode every row into a database holding the norms of every prefix length."""
     x = features.data if isinstance(features, FeatureMatrix) else np.asarray(features, dtype=np.float64)
     codes = np.empty((0, model.levels), dtype=np.int64) if x.size == 0 else encode_batch(x, model)
     return database_from_codes(codes, model, ids)

@@ -155,16 +155,18 @@ def write_labels(label_sets, path) -> None:
 
 def read_labels(path) -> list[frozenset[int]]:
     raw = Path(path).read_bytes()
+    if len(raw) % 4:
+        raise FileFormatError(f"{path}: truncated label record")
+    words = np.frombuffer(raw, dtype="<i4")
+    if words.size and words.min() < 0:
+        raise FileFormatError(f"{path}: negative label count or id")
+    words = words.tolist()
     sets = []
     off = 0
-    while off < len(raw):
-        if off + 4 > len(raw):
-            raise FileFormatError(f"{path}: truncated label record")
-        (count,) = struct.unpack("<i", raw[off : off + 4])
-        off += 4
-        if count < 0 or off + 4 * count > len(raw):
-            raise FileFormatError(f"{path}: invalid label record")
-        ids = struct.unpack(f"<{count}i", raw[off : off + 4 * count])
-        off += 4 * count
-        sets.append(frozenset(ids))
+    while off < len(words):
+        end = off + 1 + words[off]
+        if end > len(words):
+            raise FileFormatError(f"{path}: label record runs past the end of the file")
+        sets.append(frozenset(words[off + 1 : end]))
+        off = end
     return sets

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DomainError, FeatureMatrix, RqModel, _as_matrix
+from .core import DomainError, FeatureMatrix, RqModel, _as_matrix, _level_books, _recurrence
 
 _EPS = 1e-30
 
@@ -46,7 +46,6 @@ class TrainConfig:
     triplet_margin: float = 1.0
     seed: int = 0
     init: str = "random"  # codebook init: "random" | "kmeans"
-    w_init: str = "random"  # "random" (uniform [0.1, 0.9]) | "residual"
     head_widths: tuple[int, int] | None = None
     gamma_final: float | None = None  # linear anneal target over stage 3
 
@@ -62,8 +61,6 @@ class TrainConfig:
             raise DomainError(f"unknown loss flags: {sorted(unknown)}")
         if self.init not in ("random", "kmeans"):
             raise DomainError(f"unknown init '{self.init}'")
-        if self.w_init not in ("random", "residual"):
-            raise DomainError(f"unknown w_init '{self.w_init}'")
 
 
 @dataclass
@@ -119,39 +116,16 @@ def _batch_data(batch) -> np.ndarray:
 
 def _forward(x: np.ndarray, model: RqModel) -> _Forward:
     n, d = x.shape
-    m_levels = model.levels
-    codes = np.empty((n, m_levels), dtype=np.int64)
-    residuals, probs_l, dists_l = [], [], []
-    hard_sums = np.empty((m_levels, n, d))
-    soft_sums = np.empty((m_levels, n, d))
-    h = x.copy()
-    hard_acc = np.zeros((n, d))
-    soft_acc = np.zeros((n, d))
-    for m in range(1, m_levels + 1):
-        scaled = model.scaled_codebook(m)
-        d2 = (
-            np.einsum("nd,nd->n", h, h)[:, None]
-            - 2.0 * h @ scaled.T
-            + np.einsum("kd,kd->k", scaled, scaled)[None, :]
-        )
-        np.maximum(d2, 0.0, out=d2)
-        dist = np.sqrt(d2)
-        logits = -model.gamma * dist
-        logits -= logits.max(axis=1, keepdims=True)
-        p = np.exp(logits)
-        p /= p.sum(axis=1, keepdims=True)
-        idx = np.argmin(d2, axis=1)
-
-        residuals.append(h.copy())
-        probs_l.append(p)
-        dists_l.append(dist)
-        codes[:, m - 1] = idx
-        hard_acc = hard_acc + scaled[idx]
-        soft_acc = soft_acc + p @ scaled
-        hard_sums[m - 1] = hard_acc
-        soft_sums[m - 1] = soft_acc
-        h = h - scaled[idx]
-    return _Forward(codes, residuals, probs_l, dists_l, hard_sums, soft_sums)
+    fw = _Forward(np.empty((n, model.levels), dtype=np.int64), [], [], [],
+                  np.empty((model.levels, n, d)), np.empty((model.levels, n, d)))
+    for m, lv in enumerate(_recurrence(x, _level_books(model), model.gamma)):
+        fw.codes[:, m] = lv.idx
+        fw.residuals.append(lv.h)
+        fw.probs.append(lv.probs)
+        fw.dists.append(lv.dist)
+        fw.hard_sums[m] = lv.hard + (fw.hard_sums[m - 1] if m else 0.0)
+        fw.soft_sums[m] = lv.soft + (fw.soft_sums[m - 1] if m else 0.0)
+    return fw
 
 
 def distortion_losses(batch, model: RqModel) -> DistortionReport:
@@ -184,31 +158,6 @@ def _unit_residual_grads(sums: np.ndarray, x: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(diffs, axis=2, keepdims=True)
     units = np.where(norms > _EPS, diffs / np.maximum(norms, _EPS), 0.0)
     return np.cumsum(units[::-1], axis=0)[::-1] / n
-
-
-def soft_distortion_value(batch, model: RqModel, residuals=None) -> float:
-    """Batch-mean soft distortion E_s.
-
-    When ``residuals`` is given (per-level inputs from a base forward pass),
-    the soft path is re-evaluated against those frozen inputs; this is the
-    function the analytic gradient differentiates.
-    """
-    x = _batch_data(batch)
-    if residuals is None:
-        residuals = _forward(x, model).residuals
-    soft_acc = np.zeros_like(x)
-    total = 0.0
-    for m in range(1, model.levels + 1):
-        scaled = model.scaled_codebook(m)
-        h = residuals[m - 1]
-        dist = np.linalg.norm(h[:, None, :] - scaled[None, :, :], axis=2)
-        logits = -model.gamma * dist
-        logits -= logits.max(axis=1, keepdims=True)
-        p = np.exp(logits)
-        p /= p.sum(axis=1, keepdims=True)
-        soft_acc = soft_acc + p @ scaled
-        total += np.linalg.norm(soft_acc - x, axis=1).mean()
-    return float(total)
 
 
 def hard_distortion_value(batch, model: RqModel, codes: np.ndarray) -> float:
@@ -537,18 +486,7 @@ def train(features: FeatureMatrix, config: TrainConfig, embeddings: LabelEmbeddi
         codebook = kmeans_init(refined, config.k, seed=init_seed)
     else:
         codebook = np.random.default_rng(init_seed).normal(size=(config.k, refined.shape[1]))
-    if config.w_init == "residual":
-        codes = np.argmin(
-            np.linalg.norm(refined[:, None, :] - codebook[None, :, :], axis=2), axis=1
-        )
-        resid = refined - codebook[codes]
-        num = np.linalg.norm(resid, axis=1).mean()
-        den = np.linalg.norm(refined, axis=1).mean()
-        w = float(np.clip(num / max(den, _EPS), 0.05, 1.0))
-    else:
-        w = float(rng.uniform(0.1, 0.9))
-
-    model = RqModel(codebook, w, config.gamma, 1)
+    model = RqModel(codebook, float(rng.uniform(0.1, 0.9)), config.gamma, 1)
     model = _train_quant_stage(
         2, model, x, head, label_sets, embeddings, config, rng, log, config.epochs_stage2
     )
@@ -606,9 +544,8 @@ def _enabled_distortion_grads(xb, model, flags):
         d_c += sc
         d_w += sw
     if "joint_central" in flags:
-        x = xb if xb.ndim == 2 else xb[None]
-        e_h = np.linalg.norm(fw.hard_sums - x, axis=2).mean(axis=1).sum()
-        e_s = np.linalg.norm(fw.soft_sums - x, axis=2).mean(axis=1).sum()
+        e_h = np.linalg.norm(fw.hard_sums - xb, axis=2).mean(axis=1).sum()
+        e_s = np.linalg.norm(fw.soft_sums - xb, axis=2).mean(axis=1).sum()
         sgn = np.sign(e_h - e_s)
         d_c += sgn * (hc - sc)
         d_w += sgn * (hw - sw)

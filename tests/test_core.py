@@ -19,6 +19,7 @@ from recurq import (
     unpack_codes,
 )
 from recurq.core import pack_rows, unpack_rows
+from recurq.train import _forward
 
 
 def random_model(rng, k=16, d=8, m=3, gamma=5.0):
@@ -173,6 +174,24 @@ class TestEncode:
         for i in range(150):
             codes, _ = encode(x[i], model)
             assert np.array_equal(batch_codes[i], codes.indices)
+
+    def test_ties_break_to_smallest_index_on_every_path(self):
+        # rows 5 and 700 are one codeword; rows 3 and 900 are equidistant from 0.
+        # Their entries are dyadic, so the tied distances are exact and equal.
+        rng = np.random.default_rng(13)
+        cb = rng.normal(size=(1024, 4))
+        cb *= 16.0 / np.linalg.norm(cb, axis=1, keepdims=True)
+        cb[[5, 700]] = [2.0, 0.0, 0.0, 0.0]
+        cb[3], cb[900] = [0.0, 1.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]
+        model = RqModel(cb, 0.5, 5.0, 2)
+        x = np.zeros((150, 4))
+        x[1::2, 0] = 2.0  # hits the duplicate, then leaves a zero residual
+        expected = np.where(x[:, :1] == 0.0, [3, 900], [5, 3])
+        # K=1024 encodes 64 rows per block: 150 rows span three blocks
+        assert np.array_equal(encode_batch(x, model), expected)
+        assert np.array_equal(_forward(x, model).codes, expected)
+        for i in (0, 1, 64, 127, 149):
+            assert np.array_equal(encode(x[i], model)[0].indices, expected[i])
 
 
 class TestReconstruct:

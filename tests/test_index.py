@@ -148,18 +148,6 @@ class TestSearch:
             ids, _ = search(q, db, top_k=80, prefix_m=m)
             assert np.array_equal(ids, db.ids[brute_force_order(q, db, m)])
 
-    def test_cached_prefix_norms_agree(self):
-        rng = np.random.default_rng(51)
-        model = random_model(rng, k=8, d=6, m=3)
-        x = rng.normal(size=(50, 6))
-        db_plain = encode_database(x, model)
-        db_cached = encode_database(x, model, cache_prefix_norms=True)
-        q = rng.normal(size=6)
-        for m in (1, 2, 3):
-            a = adc_distances(q, db_plain, m)
-            b = adc_distances(q, db_cached, m)
-            assert np.allclose(a, b, rtol=1e-9)
-
     def test_invalid_prefix(self):
         rng = np.random.default_rng(52)
         model = random_model(rng, m=2)

@@ -137,6 +137,25 @@ class TestVectorFiles:
         write_labels(sets, path)
         assert read_labels(path) == sets
 
+    def test_labels_round_trip_many_records(self, tmp_path):
+        rng = np.random.default_rng(67)
+        sets = [frozenset(rng.integers(0, 2**31 - 1, size=rng.integers(0, 5)).tolist()) for _ in range(300)]
+        path = tmp_path / "l.bin"
+        write_labels(sets, path)
+        assert read_labels(path) == sets
+
+    @pytest.mark.parametrize("raw", [
+        struct.pack("<3i", 2, 4, -3),
+        struct.pack("<i", -1),
+        struct.pack("<2i", 2, 4),
+        struct.pack("<2i", 1, 4) + b"\x00\x00",
+    ], ids=["negative-id", "negative-count", "count-past-end", "partial-word"])
+    def test_malformed_labels_rejected(self, tmp_path, raw):
+        path = tmp_path / "bad.labels"
+        path.write_bytes(raw)
+        with pytest.raises(FileFormatError):
+            read_labels(path)
+
     def test_bad_fvecs_rejected(self, tmp_path):
         path = tmp_path / "bad.fvecs"
         path.write_bytes(b"\x03\x00\x00\x00\x00\x00")
@@ -271,6 +290,19 @@ class TestCli:
         write_fvecs(np.zeros((3, 4), dtype=np.float32), bad)
         rc = main(["encode", "--model", str(model_path), "--input", str(bad),
                    "--out", str(tmp_path / "x.drqc")])
+        assert rc == 2
+
+    def test_eval_negative_label_id_exit_code(self, tmp_path):
+        vec, lab = self._synth(tmp_path, n=100, d=8)
+        model_path, codes_path = tmp_path / "m.drqm", tmp_path / "c.drqc"
+        save_model(make_model(np.random.default_rng(68), d=8, m=2), model_path)
+        assert main(["encode", "--model", str(model_path), "--input", str(vec),
+                     "--out", str(codes_path)]) == 0
+        bad = tmp_path / "bad.labels"
+        write_labels([frozenset((-1,))] * 100, bad)
+        rc = main(["eval", "--model", str(model_path), "--codes", str(codes_path),
+                   "--queries", str(vec), "--query-labels", str(lab),
+                   "--db-labels", str(bad), "--map-cutoff", "10"])
         assert rc == 2
 
     def test_stage1_flags_without_labels(self, tmp_path):

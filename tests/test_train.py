@@ -20,7 +20,7 @@ from recurq import (
     triplet_loss,
 )
 from recurq.synth import synth_dataset
-from recurq.train import AdamState, _forward, hard_distortion_value, soft_distortion_value
+from recurq.train import AdamState, _forward, hard_distortion_value
 
 FD_STEP = 1e-6
 
