@@ -280,7 +280,7 @@ def encode_batch(data, model: RqModel) -> np.ndarray:
     x = _as_matrix(data, "data")
     if x.shape[1] != model.dim:
         raise DomainError("input dimension does not match model")
-    codes = np.empty((x.shape[0], model.levels), dtype=np.int64)
+    codes = np.empty((x.shape[0], model.levels), dtype=np.int64, order="F")  # column per level, as search scans it
     books = _level_books(model)
     # row blocks keep each (rows, K) temporary cache-sized instead of N x K fresh pages
     rows = max(1, _ENCODE_CELLS // model.k)
@@ -326,7 +326,8 @@ def pack_rows(codes: np.ndarray, k: int) -> np.ndarray:
     if codes.size and (codes.min() < 0 or codes.max() >= k):
         raise DomainError("sub-index out of range for K")
     width = (bits + 7) // 8  # bytes per sub-index, MSB-aligned
-    words = (codes.astype(np.int64) << (8 * width - bits)).astype(f">u{width}")
+    # C-contiguous rows: the byte view below splits each row's last axis
+    words = (np.ascontiguousarray(codes, dtype=np.int64) << (8 * width - bits)).astype(f">u{width}")
     code_bits = np.unpackbits(words.view(np.uint8).reshape(n, m, width), axis=2)[:, :, :bits]
     return np.packbits(code_bits.reshape(n, m * bits), axis=1)
 

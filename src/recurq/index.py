@@ -14,6 +14,7 @@ all prefix reconstructions and a prefix query costs the same as a full one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -25,7 +26,7 @@ _ROW_CHUNK = 1024  # rows reconstructed at a time: temporaries stay O(chunk * D)
 
 @dataclass
 class EncodedDatabase:
-    codes: np.ndarray  # (N, M) sub-indices
+    codes: np.ndarray  # (N, M) sub-indices, column-major: a scan of level m reads one contiguous column
     prefix_sq_norms: np.ndarray  # (N, M): column m-1 holds ||m-level reconstruction||^2
     model: RqModel
     ids: np.ndarray  # (N,) external item identifiers
@@ -45,11 +46,38 @@ class AdcTable:
     query_sq_norm: float
 
 
-@dataclass
+@dataclass(eq=False)  # field-wise == is ambiguous on the rank arrays
 class EvalReport:
+    """Retrieval quality of a query set. The (recall, precision) curve over all
+    ``n`` ranks is built from ``relevant_ranks`` on first read."""
+
     map_at_r: float
-    pr_curve: list[tuple[float, float]]  # (recall, precision) per rank
-    precision_at_r: list[tuple[int, float]]
+    relevant_ranks: list[np.ndarray]  # per query: sorted 0-based ranks of its relevant items
+    n: int  # items ranked per query
+    precision_at: tuple[int, ...] = ()
+
+    @cached_property
+    def _mean_curve(self) -> tuple[np.ndarray, np.ndarray]:
+        """(mean recall, mean precision) at every rank, summed in query order."""
+        prec_sums = np.zeros(self.n)
+        rec_sums = np.zeros(self.n)
+        for ranks in self.relevant_ranks:
+            rel = np.zeros(self.n)
+            rel[ranks] = 1.0
+            hits = np.cumsum(rel)
+            prec_sums += hits / np.arange(1, self.n + 1)
+            rec_sums += hits / len(ranks) if len(ranks) else 0.0
+        nq = len(self.relevant_ranks)
+        return rec_sums / nq, prec_sums / nq
+
+    @cached_property
+    def pr_curve(self) -> list[tuple[float, float]]:  # (recall, precision) per rank
+        mean_rec, mean_prec = self._mean_curve
+        return list(zip(mean_rec.tolist(), mean_prec.tolist()))
+
+    @cached_property
+    def precision_at_r(self) -> list[tuple[int, float]]:
+        return [(int(r), float(self._mean_curve[1][min(r, self.n) - 1])) for r in self.precision_at if r >= 1]
 
 
 def _prefix_reconstructions(codes: np.ndarray, model: RqModel, m: int) -> np.ndarray:
@@ -75,6 +103,7 @@ def prefix_reconstruction_blocks(codes: np.ndarray, model: RqModel):
 
 def database_from_codes(codes: np.ndarray, model: RqModel, ids=None) -> EncodedDatabase:
     """Database over (N, M) codes with the squared norms of every prefix length."""
+    codes = np.asfortranarray(codes)
     n = codes.shape[0]
     ids = np.arange(n, dtype=np.int64) if ids is None else np.asarray(ids, dtype=np.int64)
     if ids.shape != (n,):
@@ -141,6 +170,28 @@ def average_precision(relevant: np.ndarray, total_relevant: int, r_cutoff: int) 
     return float(np.sum(precisions * rel) / min(r_cutoff, total_relevant))
 
 
+def _relevant_ranks(dists: np.ndarray, ids: np.ndarray, relevant: np.ndarray) -> np.ndarray:
+    """Sorted 0-based ranks of the ``relevant`` rows in the order of ascending
+    distance, ties by ascending id (the order of ``np.lexsort((ids, dists))``),
+    without sorting every row by (distance, id)."""
+    ordered = np.sort(dists)
+    rel_dists = dists[relevant]
+    ranks = np.searchsorted(ordered, rel_dists, "left")
+    tied = np.searchsorted(ordered, rel_dists, "right") - ranks > 1
+    if not tied.any():
+        return np.sort(ranks)
+    # every row at a distance some tied relevant row has, sorted by (distance, id)
+    values = np.unique(rel_dists[tied])
+    window = np.flatnonzero((dists >= values[0]) & (dists <= values[-1]))
+    members = window[values[np.searchsorted(values, dists[window])] == dists[window]]
+    members = members[np.lexsort((ids[members], dists[members]))]
+    member_dists = dists[members]
+    keep = relevant[members]
+    in_group = np.arange(members.size) - np.searchsorted(member_dists, member_dists, "left")
+    ranks_tied = np.searchsorted(ordered, member_dists[keep], "left") + in_group[keep]
+    return np.sort(np.concatenate((ranks[~tied], ranks_tied)))
+
+
 def evaluate(
     queries: FeatureMatrix,
     db: EncodedDatabase,
@@ -151,42 +202,25 @@ def evaluate(
 ) -> EvalReport:
     """Retrieval quality over a labeled query set; an item is relevant to a
     query when they share at least one label."""
+    if r_cutoff < 1:
+        raise DomainError("r_cutoff must be >= 1")
     if queries.labels is None and queries.multi_labels is None:
         raise DomainError("queries must carry labels for evaluation")
     if len(db_labels) != db.n:
         raise DomainError("db_labels length must match database size")
-    q_sets = queries.label_sets()
     n = db.n
-    ap_values = []
-    prec_sums = np.zeros(n)
-    rec_sums = np.zeros(n)
-    # inverted index, label id -> rows whose label set holds it
+    # flattened label sets: labels[j] belongs to row owner[j]
     sizes = np.fromiter(map(len, db_labels), dtype=np.int64, count=n)
     labels = np.fromiter(chain.from_iterable(db_labels), dtype=np.int64, count=int(sizes.sum()))
-    by_label = np.argsort(labels, kind="stable")
-    keys, starts = np.unique(labels[by_label], return_index=True)
-    rows_of = dict(zip(keys.tolist(), np.split(np.repeat(np.arange(n), sizes)[by_label], starts[1:])))
-    for qi in range(queries.n):
-        dists = adc_distances(queries.data[qi], db, prefix_m)
-        order = np.lexsort((db.ids, dists))
+    owner = np.repeat(np.arange(n), sizes)
+    head = min(r_cutoff, n)
+    ap_values, ranks = [], []
+    for qi, q_set in enumerate(queries.label_sets()):
         relevant = np.zeros(n, dtype=bool)
-        for label in q_sets[qi]:
-            relevant[rows_of.get(label, [])] = True
-        rel = relevant[order].astype(np.float64)
-        total_rel = int(rel.sum())
-        ap_values.append(average_precision(rel, total_rel, r_cutoff))
-        hits = np.cumsum(rel)
-        prec_sums += hits / np.arange(1, n + 1)
-        rec_sums += hits / total_rel if total_rel else 0.0
-    nq = queries.n
-    mean_prec = prec_sums / nq
-    mean_rec = rec_sums / nq
-    pr_curve = list(zip(mean_rec.tolist(), mean_prec.tolist()))
-    precision_points = [
-        (int(r), float(mean_prec[min(r, n) - 1])) for r in precision_at if r >= 1
-    ]
-    return EvalReport(
-        map_at_r=float(np.mean(ap_values)) if ap_values else 0.0,
-        pr_curve=pr_curve,
-        precision_at_r=precision_points,
-    )
+        relevant[owner[np.isin(labels, np.fromiter(q_set, dtype=np.int64))]] = True
+        q_ranks = _relevant_ranks(adc_distances(queries.data[qi], db, prefix_m), db.ids, relevant)
+        rel = np.zeros(head)  # AP reads only the first r_cutoff ranks
+        rel[q_ranks[q_ranks < head]] = 1.0
+        ap_values.append(average_precision(rel, q_ranks.size, r_cutoff))
+        ranks.append(q_ranks)
+    return EvalReport(float(np.mean(ap_values)), ranks, n, tuple(precision_at))

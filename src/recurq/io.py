@@ -74,6 +74,8 @@ def load_model(path) -> RqModel:
     if payload[:4] != MODEL_MAGIC:
         raise FileFormatError(f"{path}: bad magic, not a model file")
     header_len = 4 + struct.calcsize("<HIIIdd")
+    if len(payload) < header_len:
+        raise FileFormatError(f"{path}: truncated header")
     version, k, d, m, w, gamma = struct.unpack("<HIIIdd", payload[4:header_len])
     if version != FORMAT_VERSION:
         raise FileFormatError(f"{path}: unsupported format version {version}")
@@ -99,6 +101,8 @@ def load_codes(path, model: RqModel) -> EncodedDatabase:
     if payload[:4] != CODE_MAGIC:
         raise FileFormatError(f"{path}: bad magic, not a code file")
     header_len = 4 + struct.calcsize("<HQII")
+    if len(payload) < header_len:
+        raise FileFormatError(f"{path}: truncated header")
     version, n, m, k = struct.unpack("<HQII", payload[4:header_len])
     if version != FORMAT_VERSION:
         raise FileFormatError(f"{path}: unsupported format version {version}")

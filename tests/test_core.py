@@ -359,3 +359,18 @@ class TestModelInvariants:
     def test_rejects_non_power_of_two_codebook(self):
         with pytest.raises(DomainError):
             RqModel(np.zeros((3, 2)), 0.5, 20.0, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.integers(1, 16), m=st.integers(1, 8), n=st.integers(0, 6), layout=st.sampled_from(["F", "sliced"]),
+       data=st.data())
+def test_pack_rows_any_memory_layout(bits, m, n, layout, data):
+    # F-order and column-sliced views pack like the C-order array holding the same values
+    k = 1 << bits
+    wide = m * (2 if layout == "sliced" else 1)
+    rows = data.draw(st.lists(st.lists(st.integers(0, k - 1), min_size=wide, max_size=wide), min_size=n, max_size=n))
+    full = np.array(rows, dtype=np.int64).reshape(n, wide)
+    codes = np.asfortranarray(full) if layout == "F" else full[:, ::2]
+    packed = pack_rows(codes, k)
+    assert packed.tobytes() == reference_pack_rows(np.ascontiguousarray(codes), k)
+    assert np.array_equal(unpack_rows(packed, m, k), codes)

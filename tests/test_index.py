@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recurq import (
     DomainError,
@@ -281,3 +283,68 @@ class TestEvaluate:
         queries = FeatureMatrix(rng.normal(size=(2, 4)))
         with pytest.raises(DomainError):
             evaluate(queries, db, [frozenset((0,))] * 10, r_cutoff=5)
+
+
+def reference_evaluate(queries, db, db_labels, r_cutoff, precision_at, prefix_m):
+    """Full (distance, id) sort and an N-length relevance vector per query."""
+    q_sets, n = queries.label_sets(), db.n
+    aps, prec, rec = [], np.zeros(n), np.zeros(n)
+    for qi in range(queries.n):
+        order = np.lexsort((db.ids, adc_distances(queries.data[qi], db, prefix_m)))
+        rel = np.array([1.0 if db_labels[j] & q_sets[qi] else 0.0 for j in order])
+        total = int(rel.sum())
+        aps.append(average_precision(rel, total, r_cutoff))
+        hits = np.cumsum(rel)
+        prec += hits / np.arange(1, n + 1)
+        rec += hits / total if total else 0.0
+    prec, rec = prec / queries.n, rec / queries.n
+    points = [(r, float(prec[min(r, n) - 1])) for r in precision_at if r >= 1]
+    return float(np.mean(aps)), list(zip(rec.tolist(), prec.tolist())), points
+
+
+label_sets = st.frozensets(st.integers(0, 4), max_size=2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.sampled_from([2, 4, 8]), m=st.integers(1, 4), d=st.integers(1, 3), n=st.integers(1, 40),
+       nq=st.integers(1, 4), zero_query=st.booleans(), data=st.data())
+def test_evaluate_matches_full_sort(k, m, d, n, nq, zero_query, data):
+    # dyadic codebook, scale, items and queries: distances are exact, so many tie
+    dyadic = lambda rows, lo, hi, step: np.array(
+        data.draw(st.lists(st.lists(st.integers(lo, hi), min_size=d, max_size=d), min_size=rows, max_size=rows))
+    ) * step
+    model = RqModel(dyadic(k, -2, 2, 0.5), 0.5, 5.0, m)
+    db = encode_database(dyadic(n, -4, 4, 0.25), model, ids=data.draw(st.permutations(range(n))))
+    db_labels = data.draw(st.lists(label_sets, min_size=n, max_size=n))
+    q = dyadic(nq, -4, 4, 0.25)
+    if zero_query:
+        q[0] = 0.0
+    queries = FeatureMatrix(q, multi_labels=data.draw(st.lists(label_sets, min_size=nq, max_size=nq)))
+    for prefix_m in range(1, m + 1):
+        for r_cutoff in (1, 10, n + 1):
+            report = evaluate(queries, db, db_labels, r_cutoff, (1, 5, n + 3), prefix_m)
+            want = reference_evaluate(queries, db, db_labels, r_cutoff, (1, 5, n + 3), prefix_m)
+            assert (report.map_at_r, report.pr_curve, report.precision_at_r) == want
+
+
+class TestEvaluateContract:
+    def _db(self):
+        rng = np.random.default_rng(70)
+        model = random_model(rng, k=8, d=4, m=2)
+        db = encode_database(rng.normal(size=(30, 4)), model)
+        queries = FeatureMatrix(rng.normal(size=(3, 4)), labels=np.array([0, 1, 2]))
+        return queries, db, [frozenset((int(i) % 3,)) for i in range(30)]
+
+    @pytest.mark.parametrize("r_cutoff", [0, -3])
+    def test_cutoff_below_one_rejected(self, r_cutoff):
+        queries, db, db_labels = self._db()
+        with pytest.raises(DomainError):
+            evaluate(queries, db, db_labels, r_cutoff=r_cutoff)
+
+    def test_curve_built_on_first_read(self):
+        queries, db, db_labels = self._db()
+        report = evaluate(queries, db, db_labels, r_cutoff=5)
+        assert report.precision_at_r == []
+        assert "_mean_curve" not in vars(report)
+        assert len(report.pr_curve) == db.n
+        assert "_mean_curve" in vars(report)

@@ -1,4 +1,5 @@
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -120,6 +121,29 @@ class TestCodeFile:
         other = make_model(rng, k=8, d=4, m=3)
         with pytest.raises(FileFormatError):
             load_codes(path, other)
+
+
+@pytest.mark.parametrize("magic", [b"DRQM", b"DRQC"])
+def test_truncated_header_rejected(tmp_path, magic):
+    # valid CRC over a header cut short after its version field
+    payload = magic + b"\x01\x00"
+    path = tmp_path / "short.bin"
+    path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
+    with pytest.raises(FileFormatError, match="truncated header"):
+        if magic == b"DRQM":
+            load_model(path)
+        else:
+            load_codes(path, make_model(np.random.default_rng(69)))
+
+
+def test_loaded_codes_are_column_major(tmp_path):
+    rng = np.random.default_rng(71)
+    model = make_model(rng, k=1024, d=4, m=3)
+    db = encode_database(rng.normal(size=(50, 4)), model)
+    save_codes(db, tmp_path / "c.drqc")
+    loaded = load_codes(tmp_path / "c.drqc", model)
+    assert db.codes.flags.f_contiguous and loaded.codes.flags.f_contiguous
+    assert np.array_equal(loaded.codes, db.codes)
 
 
 class TestVectorFiles:
@@ -304,6 +328,19 @@ class TestCli:
                    "--queries", str(vec), "--query-labels", str(lab),
                    "--db-labels", str(bad), "--map-cutoff", "10"])
         assert rc == 2
+
+    @pytest.mark.parametrize("cutoff", ["0", "-3"])
+    def test_eval_cutoff_below_one_exit_code(self, tmp_path, capsys, cutoff):
+        vec, lab = self._synth(tmp_path, n=100, d=8)
+        model_path, codes_path = tmp_path / "m.drqm", tmp_path / "c.drqc"
+        save_model(make_model(np.random.default_rng(72), d=8, m=2), model_path)
+        assert main(["encode", "--model", str(model_path), "--input", str(vec),
+                     "--out", str(codes_path)]) == 0
+        rc = main(["eval", "--model", str(model_path), "--codes", str(codes_path),
+                   "--queries", str(vec), "--query-labels", str(lab),
+                   "--db-labels", str(lab), "--map-cutoff", cutoff])
+        assert rc == 2
+        assert "map@" not in capsys.readouterr().out
 
     def test_stage1_flags_without_labels(self, tmp_path):
         vec, _ = self._synth(tmp_path, n=100)
