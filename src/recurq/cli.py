@@ -8,6 +8,7 @@ metric per line so other tools can parse it without a reporting dependency.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 
@@ -18,6 +19,11 @@ from .core import DomainError, FeatureMatrix
 from .index import _prefix_reconstructions, encode_database, evaluate, prefix_reconstruction_blocks, search
 from .synth import synth_dataset
 from .train import ALL_FLAGS, HEAD_FLAGS, LabelEmbeddings, TrainConfig, train
+
+try:  # glibc only; elsewhere freed memory is left to the allocator
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
 
 FLAG_NAMES = {
     "hard": "hard_distortion",
@@ -235,6 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command, then give the heap pages its arrays freed back to the OS.
+
+    After a large free, glibc serves arrays of up to 32 MB from its heap and keeps
+    up to twice that free there, so without the trim a process that runs commands
+    one after another in-process keeps one command's temporaries resident
+    through the next."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -245,6 +257,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if _malloc_trim is not None:
+            _malloc_trim(0)
 
 
 if __name__ == "__main__":

@@ -225,6 +225,17 @@ class _Level(NamedTuple):
     soft: np.ndarray | None  # (N, D) blended codewords, soft path only
 
 
+def _sq_distances(h: np.ndarray, book: np.ndarray, book_sq: np.ndarray) -> np.ndarray:
+    """(N, K) squared distances ``||h||^2 - 2 h.c + ||c||^2`` between the rows of
+    ``h`` and of ``book``, not clamped at 0. Built in one (N, K) array: fresh
+    (N, K) temporaries per call cost page faults in the blocked callers."""
+    d2 = h @ book.T
+    d2 *= -2.0
+    d2 += np.einsum("nd,nd->n", h, h)[:, None]
+    d2 += book_sq
+    return d2
+
+
 def _recurrence(x: np.ndarray, books, gamma: float | None = None):
     """The shared-codebook recurrence over the rows of ``x``: yield one
     :class:`_Level` per entry of ``books`` (see :func:`_level_books`). Each level
@@ -233,12 +244,7 @@ def _recurrence(x: np.ndarray, books, gamma: float | None = None):
     ``-gamma * distance`` and the blended codeword."""
     h = x
     for scaled, book_sq in books:
-        # squared distances ||h||^2 - 2 h.c + ||c||^2, built in one (N, K) array: fresh
-        # (N, K) temporaries at every level cost page faults in encode_batch
-        d2 = h @ scaled.T
-        d2 *= -2.0
-        d2 += np.einsum("nd,nd->n", h, h)[:, None]
-        d2 += book_sq
+        d2 = _sq_distances(h, scaled, book_sq)
         np.maximum(d2, 0.0, out=d2)
         idx = np.argmin(d2, axis=1)
         hard = scaled[idx]

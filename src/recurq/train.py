@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import DomainError, FeatureMatrix, RqModel, _as_matrix, _level_books, _recurrence
+from .core import _ENCODE_CELLS, DomainError, FeatureMatrix, RqModel, _as_matrix, _level_books, _recurrence, _sq_distances
 
 _EPS = 1e-30
 
@@ -30,6 +31,14 @@ DEFAULT_FLAGS = frozenset(ALL_FLAGS)
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Training hyperparameters.
+
+    The scale w is kept at or above 1e-3 after every step but has no upper
+    bound: w > 1, a codebook that grows from level to level, is a valid model
+    (every prefix still equals encoding with that many levels), and capping it
+    would change the models training produces.
+    """
+
     k: int
     m: int
     gamma: float = 20.0
@@ -128,17 +137,36 @@ def _forward(x: np.ndarray, model: RqModel) -> _Forward:
     return fw
 
 
+def _row_blocks(n: int, k: int) -> list[slice]:
+    """Row slices of ``encode_batch``'s block size at K columns, so every
+    (rows, K) temporary stays cache-sized."""
+    rows = max(1, _ENCODE_CELLS // k)
+    return [slice(start, start + rows) for start in range(0, n, rows)]
+
+
 def distortion_losses(batch, model: RqModel) -> DistortionReport:
     """Per-level and total distortion errors, batch-averaged.
 
     E_h^m and E_s^m are Euclidean errors of the level-m partial hard/soft
     reconstructions against the original inputs; totals sum over levels and
-    the joint term is the absolute difference of the two totals.
+    the joint term is the absolute difference of the two totals. The batch is
+    run through the recurrence in row blocks, keeping only the per-row errors,
+    so memory grows with M*N, not with the soft path's M*N*K.
     """
     x = _batch_data(batch)
-    fw = _forward(x, model)
-    hard_per = np.linalg.norm(fw.hard_sums - x, axis=2).mean(axis=1)
-    soft_per = np.linalg.norm(fw.soft_sums - x, axis=2).mean(axis=1)
+    books = _level_books(model)
+    hard_err = np.empty((model.levels, x.shape[0]))
+    soft_err = np.empty_like(hard_err)
+    for rows in _row_blocks(x.shape[0], model.k):
+        xb = x[rows]
+        hard = soft = 0.0
+        for m, lv in enumerate(_recurrence(xb, books, model.gamma)):
+            hard = lv.hard + hard
+            soft = lv.soft + soft
+            hard_err[m, rows] = np.linalg.norm(hard - xb, axis=1)
+            soft_err[m, rows] = np.linalg.norm(soft - xb, axis=1)
+    hard_per = hard_err.mean(axis=1)
+    soft_per = soft_err.mean(axis=1)
     e_hard = float(hard_per.sum())
     e_soft = float(soft_per.sum())
     return DistortionReport(
@@ -275,43 +303,60 @@ def adaptive_margin_loss(z, label_set, embeddings: LabelEmbeddings):
 
 
 def kmeans_init(features, k: int, iters: int = 25, seed: int = 0) -> np.ndarray:
-    """Lloyd's algorithm with k-means++ seeding; empty clusters are reseeded
-    to the point farthest from its assigned centroid."""
+    """Lloyd's algorithm with k-means++ seeding (Arthur & Vassilvitskii, SODA
+    2007); empty clusters are reseeded to the point farthest from its assigned
+    centroid. Distances are computed over the encoder's row blocks, so no
+    N x K array is held."""
     x = _batch_data(features)
     n = x.shape[0]
     if n < k:
         raise DomainError(f"need at least {k} points for {k} centroids")
     rng = np.random.default_rng(seed)
+    blocks = _row_blocks(n, k)
+
+    def sq_to(c, out):
+        for rows in blocks:
+            diff = x[rows] - c
+            np.einsum("nd,nd->n", diff, diff, out=out[rows])
+        return out
 
     # k-means++ seeding
     centroids = np.empty((k, x.shape[1]))
     centroids[0] = x[rng.integers(n)]
-    d2 = np.einsum("nd,nd->n", x - centroids[0], x - centroids[0])
+    d2 = sq_to(centroids[0], np.empty(n))
+    step = np.empty(n)
     for i in range(1, k):
         total = d2.sum()
+        if not np.isfinite(total):
+            raise DomainError("k-means++ seeding: squared distances are not finite")
         if total <= 0:
             centroids[i] = x[rng.integers(n)]
         else:
             centroids[i] = x[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, np.einsum("nd,nd->n", x - centroids[i], x - centroids[i]))
+        np.minimum(d2, sq_to(centroids[i], step), out=d2)
 
+    # one contiguous column per coordinate: bincount sums each in row order,
+    # as x[members].mean(axis=0) does for D >= 2
+    columns = x.T.copy()
+    assign = np.empty(n, dtype=np.intp)
+    nearest = np.empty(n)
     for _ in range(iters):
-        d2 = (
-            np.einsum("nd,nd->n", x, x)[:, None]
-            - 2.0 * x @ centroids.T
-            + np.einsum("kd,kd->k", centroids, centroids)[None, :]
-        )
-        assign = np.argmin(d2, axis=1)
-        nearest = np.maximum(d2[np.arange(n), assign], 0.0)
+        cc = np.einsum("kd,kd->k", centroids, centroids)
+        for rows in blocks:
+            dist = _sq_distances(x[rows], centroids, cc)
+            idx = np.argmin(dist, axis=1)
+            assign[rows] = idx
+            nearest[rows] = dist[np.arange(len(idx)), idx]
+        np.maximum(nearest, 0.0, out=nearest)
+        counts = np.bincount(assign, minlength=k)
+        filled = counts > 0
         new_centroids = centroids.copy()
-        for i in range(k):
-            members = assign == i
-            if members.any():
-                new_centroids[i] = x[members].mean(axis=0)
-            else:
-                far = int(np.argmax(nearest))
-                new_centroids[i] = x[far]
-                nearest[far] = 0.0
+        sums = np.stack([np.bincount(assign, weights=col, minlength=k) for col in columns], axis=1)
+        new_centroids[filled] = sums[filled] / counts[filled, None]
+        for i in np.flatnonzero(~filled):
+            far = int(np.argmax(nearest))
+            new_centroids[i] = x[far]
+            nearest[far] = 0.0
         if np.allclose(new_centroids, centroids, rtol=0, atol=1e-12):
             centroids = new_centroids
             break
@@ -348,14 +393,26 @@ def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig):
 
 def sample_triplets(label_sets, rng: np.random.Generator, anchors) -> TripletBatch:
     """Draw one (positive, negative) pair per anchor; anchors with no valid
-    positive or negative are skipped."""
+    positive or negative are skipped. A positive is another row sharing a
+    label with the anchor, a negative a row sharing none; each is drawn
+    uniformly from its pool in ascending row order."""
     n = len(label_sets)
+    # label -> rows pools, built once: labels[j] belongs to row owner[j]
+    sizes = np.fromiter(map(len, label_sets), dtype=np.int64, count=n)
+    labels = np.fromiter(chain.from_iterable(label_sets), dtype=np.int64, count=int(sizes.sum()))
+    owner = np.repeat(np.arange(n), sizes)
+    order = np.argsort(labels, kind="stable")
+    keys, starts = np.unique(labels[order], return_index=True)
+    pools = dict(zip(keys.tolist(), np.split(owner[order], starts[1:])))
     a_out, p_out, n_out = [], [], []
     for a in anchors:
-        la = label_sets[a]
-        pos_pool = [i for i in range(n) if i != a and label_sets[i] & la]
-        neg_pool = [i for i in range(n) if not (label_sets[i] & la)]
-        if not pos_pool or not neg_pool:
+        shares = np.zeros(n, dtype=bool)
+        for label in label_sets[a]:
+            shares[pools[label]] = True
+        neg_pool = np.flatnonzero(~shares)
+        shares[a] = False
+        pos_pool = np.flatnonzero(shares)
+        if not len(pos_pool) or not len(neg_pool):
             continue
         a_out.append(a)
         p_out.append(pos_pool[rng.integers(len(pos_pool))])
@@ -452,6 +509,10 @@ def train(features: FeatureMatrix, config: TrainConfig, embeddings: LabelEmbeddi
     """Three-stage schedule: optional metric-learning refinement of the
     features, then codebook training at one level, then at the full level
     count. Returns the trained model and a per-epoch log (list of dicts).
+
+    The learned scale w may end above 1 (see :class:`TrainConfig`). Raises
+    DomainError naming the stage, the epoch and the value when a gradient, the
+    codebook, w or the monitored loss stops being finite.
     """
     x = features.data
     rng = np.random.default_rng(np.uint64(config.seed))
@@ -563,6 +624,11 @@ def _monitored_loss(report: DistortionReport, flags) -> float:
     return total
 
 
+def _require_finite(value, what: str, stage: int, epoch: int) -> None:
+    if not np.all(np.isfinite(value)):
+        raise DomainError(f"training stage {stage}, epoch {epoch}: {what} is not finite")
+
+
 def _train_quant_stage(stage, model, x, head, label_sets, embeddings, config, rng, log, epochs):
     flags = config.loss_flags
     if not any(f in flags for f in DISTORTION_FLAGS):
@@ -587,6 +653,7 @@ def _train_quant_stage(stage, model, x, head, label_sets, embeddings, config, rn
 
     report, _ = full_report(current_model())
     best_loss = _monitored_loss(report, flags)
+    _require_finite(best_loss, "monitored loss before the first step", stage, 0)
     best = (params["C"].copy(), float(params["w"]))
     recent: list[float] = []
 
@@ -602,8 +669,12 @@ def _train_quant_stage(stage, model, x, head, label_sets, embeddings, config, rn
             mdl = current_model(gamma)
             feats = head.forward(x[batch_idx])[2] if head is not None else x[batch_idx]
             d_c, d_w = _enabled_distortion_grads(feats, mdl, flags)
+            _require_finite(d_c, "codebook gradient", stage, epoch)
+            _require_finite(d_w, "scale gradient", stage, epoch)
             adam_step(params, {"C": d_c, "w": np.float64(d_w)}, state, config)
             params["w"] = np.float64(max(float(params["w"]), 1e-3))
+            _require_finite(params["C"], "codebook", stage, epoch)
+            _require_finite(params["w"], "scale w", stage, epoch)
             if head is not None and head_flags and label_sets is not None:
                 triplets = sample_triplets(label_sets, rng, batch_idx)
                 if len(triplets.anchors):
@@ -615,6 +686,7 @@ def _train_quant_stage(stage, model, x, head, label_sets, embeddings, config, rn
         mdl = current_model(gamma)
         report, _ = full_report(mdl)
         monitored = _monitored_loss(report, flags)
+        _require_finite(monitored, "monitored loss", stage, epoch)
         record = {
             "stage": stage,
             "epoch": epoch,

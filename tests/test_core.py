@@ -336,6 +336,18 @@ class TestSlicePrefix:
         with pytest.raises(DomainError):
             slice_prefix(CodeSequence(np.array([1, 2])), 3)
 
+    def test_prefix_equals_reencode_above_unit_scale(self):
+        # w > 1 is a valid model: each level's codebook is larger than the last
+        rng = np.random.default_rng(14)
+        model = RqModel(rng.normal(size=(16, 8)), 1.5, 5.0, 4)
+        x = rng.normal(size=(300, 8))
+        full = encode_batch(x, model)
+        for m in (1, 2, 3):
+            assert np.array_equal(full[:, :m], encode_batch(x, model.with_levels(m)))
+        for row, codes in zip(x[:20], full):
+            short, _ = encode(row, model.with_levels(2))
+            assert np.array_equal(slice_prefix(CodeSequence(codes), 2).indices, short.indices)
+
 
 class TestModelInvariants:
     def test_param_count_independent_of_levels(self):

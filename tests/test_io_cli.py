@@ -22,6 +22,7 @@ from recurq import (
     write_fvecs,
     write_labels,
 )
+import recurq.cli
 from recurq.cli import main
 from recurq.index import adc_distances
 
@@ -349,8 +350,28 @@ class TestCli:
                    "--out", str(tmp_path / "m.drqm")])
         assert rc == 2
 
+    def test_non_finite_training_exit_code(self, tmp_path, capsys):
+        vec, _ = self._synth(tmp_path, n=200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["train", "--input", str(vec), "--k", "8", "--m", "2",
+                       "--lr", "1e308", "--batch-size", "50",
+                       "--epochs-stage2", "2", "--epochs-stage3", "2",
+                       "--out", str(tmp_path / "m.drqm")])
+        assert rc == 2
+        assert "stage 2, epoch 0: codebook gradient is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "m.drqm").exists()
+
     def test_missing_file_exit_code(self, tmp_path):
         rc = main(["encode", "--model", str(tmp_path / "no.drqm"),
                    "--input", str(tmp_path / "no.fvecs"),
                    "--out", str(tmp_path / "o.drqc")])
         assert rc == 2
+
+    def test_freed_heap_released_after_every_command(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(recurq.cli, "_malloc_trim", calls.append)
+        self._synth(tmp_path)
+        assert calls == [0]
+        assert main(["encode", "--model", str(tmp_path / "no.drqm"), "--input", str(tmp_path / "data.fvecs"),
+                     "--out", str(tmp_path / "o.drqc")]) == 2
+        assert calls == [0, 0]

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recurq import (
     DomainError,
@@ -20,7 +24,7 @@ from recurq import (
     triplet_loss,
 )
 from recurq.synth import synth_dataset
-from recurq.train import AdamState, _forward, hard_distortion_value
+from recurq.train import AdamState, _forward, _row_blocks, hard_distortion_value, sample_triplets
 
 FD_STEP = 1e-6
 
@@ -447,3 +451,197 @@ class TestTrain:
         assert model.levels == 2
         # head output dim: D/2 + embedding dim
         assert model.dim == 8 // 2 + 6
+
+
+def kmeans_reference(features, k, iters=25, seed=0):
+    """Unblocked k-means: whole-set x - c arrays in the seeding, one N x K
+    distance array per Lloyd pass and a Python loop over clusters."""
+    x = np.asarray(features, dtype=np.float64)
+    n = x.shape[0]
+    rng = np.random.default_rng(seed)
+    centroids = np.empty((k, x.shape[1]))
+    centroids[0] = x[rng.integers(n)]
+    d2 = np.einsum("nd,nd->n", x - centroids[0], x - centroids[0])
+    for i in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centroids[i] = x[rng.integers(n)]
+        else:
+            centroids[i] = x[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, np.einsum("nd,nd->n", x - centroids[i], x - centroids[i]))
+    for _ in range(iters):
+        d2 = (
+            np.einsum("nd,nd->n", x, x)[:, None]
+            - 2.0 * x @ centroids.T
+            + np.einsum("kd,kd->k", centroids, centroids)[None, :]
+        )
+        assign = np.argmin(d2, axis=1)
+        nearest = np.maximum(d2[np.arange(n), assign], 0.0)
+        new_centroids = centroids.copy()
+        for i in range(k):
+            members = assign == i
+            if members.any():
+                new_centroids[i] = x[members].mean(axis=0)
+            else:
+                far = int(np.argmax(nearest))
+                new_centroids[i] = x[far]
+                nearest[far] = 0.0
+        if np.allclose(new_centroids, centroids, rtol=0, atol=1e-12):
+            return new_centroids
+        centroids = new_centroids
+    return centroids
+
+
+def duplicated_points(rng, n, d, distinct):
+    """n rows drawn from only ``distinct`` points, so some clusters go empty."""
+    base = rng.normal(size=(distinct, d))
+    return base[rng.integers(distinct, size=n)]
+
+
+class TestBlockedKmeans:
+    @pytest.mark.parametrize(
+        "case",
+        ["duplicates_force_empty", "n_equals_k", "k_is_1", "k1024_across_blocks", "k256_d64"],
+    )
+    def test_matches_unblocked_reference(self, case):
+        rng = np.random.default_rng(31)
+        x, k = {
+            "duplicates_force_empty": (duplicated_points(rng, 60, 3, 5), 16),
+            "n_equals_k": (rng.normal(size=(32, 4)), 32),
+            "k_is_1": (rng.normal(size=(500, 6)), 1),
+            "k1024_across_blocks": (rng.normal(size=(3000, 8)), 1024),  # 47 blocks of 64 rows
+            "k256_d64": (rng.normal(size=(2000, 64)), 256),
+        }[case]
+        for seed in (1, 7):
+            assert np.array_equal(kmeans_init(x, k, seed=seed), kmeans_reference(x, k, seed=seed))
+
+    @settings(max_examples=120, deadline=None)
+    @given(bits=st.integers(0, 6), d=st.integers(2, 6), extra=st.integers(0, 150),
+           distinct=st.integers(0, 40), iters=st.integers(1, 25), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_unblocked_reference_random(self, bits, d, extra, distinct, iters, seed):
+        rng = np.random.default_rng(seed)
+        k = 2 ** bits
+        n = k + extra
+        x = duplicated_points(rng, n, d, distinct) if distinct else rng.normal(size=(n, d))
+        assert np.array_equal(
+            kmeans_init(x, k, iters=iters, seed=seed), kmeans_reference(x, k, iters=iters, seed=seed)
+        )
+
+    def test_overflowing_seeding_rejected(self):
+        x = np.random.default_rng(32).normal(size=(40, 4)) * 1e160
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError, match="seeding"):
+            kmeans_init(x, 4)
+
+
+def distortion_reference(x, model):
+    """Whole-batch per-level errors from the (M, N, D) reconstructions of _forward."""
+    fw = _forward(x, model)
+    hard = np.linalg.norm(fw.hard_sums - x, axis=2).mean(axis=1)
+    soft = np.linalg.norm(fw.soft_sums - x, axis=2).mean(axis=1)
+    return hard, soft
+
+
+def blend_is_row_count_independent(n, k, d):
+    """Whether this BLAS gives each row of an (n, K) @ (K, D) product the same
+    bits when it multiplies the report's row blocks one at a time. OpenBLAS
+    picks its kernel by product size, and kernels round differently."""
+    rng = np.random.default_rng(0)
+    p, c = rng.random((n, k)), rng.normal(size=(k, d))
+    return np.array_equal(p @ c, np.concatenate([p[rows] @ c for rows in _row_blocks(n, k)]))
+
+
+class TestStreamedReport:
+    @pytest.mark.parametrize(
+        "k,d,m,gamma,n",
+        [
+            (256, 64, 4, 20.0, 700),  # benchmark shape, three row blocks
+            (2, 3, 3, 0.5, 33000),  # two blocks of 32768 rows
+            (16, 5, 8, 5.0, 9000),
+            (64, 7, 2, 200.0, 3000),
+            (256, 4, 3, 20.0, 1000),
+            (512, 8, 3, 20.0, 2635),
+            (1024, 8, 2, 200.0, 300),
+            (8, 4, 5, 20.0, 1),
+        ],
+    )
+    def test_matches_whole_batch_reference(self, k, d, m, gamma, n):
+        rng = np.random.default_rng(33)
+        model = RqModel(rng.normal(size=(k, d)), 0.6, gamma, m)
+        x = rng.normal(size=(n, d))
+        report = distortion_losses(x, model)
+        hard, soft = distortion_reference(x, model)
+        assert np.array_equal(report.per_level_hard, hard)
+        assert report.e_hard == float(hard.sum())
+        if blend_is_row_count_independent(n, k, d):
+            assert np.array_equal(report.per_level_soft, soft)
+            assert report.e_soft == float(soft.sum())
+            assert report.e_joint == abs(float(hard.sum()) - float(soft.sum()))
+        else:  # the blended codeword may round differently by an ulp
+            np.testing.assert_allclose(report.per_level_soft, soft, rtol=1e-14)
+            assert report.e_soft == pytest.approx(float(soft.sum()), rel=1e-14)
+
+    def test_peak_memory_does_not_grow_with_n_times_k(self):
+        rng = np.random.default_rng(34)
+        model = RqModel(rng.normal(size=(256, 8)), 0.6, 20.0, 4)
+        peaks = {}
+        for n in (2048, 8192):
+            x = rng.normal(size=(n, 8))
+            tracemalloc.start()
+            distortion_losses(x, model)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        # the whole-batch report held 2 * M (N, K) float64 arrays: 6144 more rows cost 100 MB
+        assert peaks[8192] - peaks[2048] < (8192 - 2048) * 256 * 8 / 4
+
+
+def sample_triplets_reference(label_sets, rng, anchors):
+    """Per-anchor scan of every row for the positive and negative pools."""
+    n = len(label_sets)
+    a_out, p_out, n_out = [], [], []
+    for a in anchors:
+        la = label_sets[a]
+        pos_pool = [i for i in range(n) if i != a and label_sets[i] & la]
+        neg_pool = [i for i in range(n) if not (label_sets[i] & la)]
+        if not pos_pool or not neg_pool:
+            continue
+        a_out.append(a)
+        p_out.append(pos_pool[rng.integers(len(pos_pool))])
+        n_out.append(neg_pool[rng.integers(len(neg_pool))])
+    return a_out, p_out, n_out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    label_sets=st.lists(st.frozensets(st.integers(0, 4), max_size=3), min_size=1, max_size=30),
+    data=st.data(),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_sample_triplets_matches_row_scan(label_sets, data, seed):
+    anchors = np.array(
+        data.draw(st.lists(st.integers(0, len(label_sets) - 1), max_size=20)), dtype=np.int64
+    )
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    batch = sample_triplets(label_sets, rng, anchors)
+    expected = sample_triplets_reference(label_sets, ref_rng, anchors)
+    for got, want in zip((batch.anchors, batch.positives, batch.negatives), expected):
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+    assert rng.integers(2 ** 62) == ref_rng.integers(2 ** 62)  # same number of draws
+
+
+class TestNonFiniteGuard:
+    def test_overflowing_features_name_stage_and_epoch(self):
+        fm = synth_dataset(n=200, d=8, clusters=4, spread=0.2, seed=14)
+        config = TrainConfig(k=8, m=2, epochs_stage2=2, epochs_stage3=2, seed=14)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            DomainError, match=r"stage 2, epoch 0: monitored loss .*not finite"
+        ):
+            train(FeatureMatrix(fm.data * 1e155), config)
+
+    def test_exploding_step_names_the_gradient(self):
+        fm = synth_dataset(n=200, d=8, clusters=4, spread=0.2, seed=15)
+        config = TrainConfig(k=8, m=2, lr=1e308, batch_size=50, epochs_stage2=2, epochs_stage3=2, seed=15)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            DomainError, match=r"stage 2, epoch 0: codebook gradient is not finite"
+        ):
+            train(fm, config)
