@@ -18,7 +18,7 @@ from . import io as rio
 from .core import DomainError, FeatureMatrix
 from .index import _prefix_reconstructions, encode_database, evaluate, prefix_reconstruction_blocks, search
 from .synth import synth_dataset
-from .train import ALL_FLAGS, HEAD_FLAGS, LabelEmbeddings, TrainConfig, train
+from .train import ALL_FLAGS, HEAD_FLAGS, TrainConfig, train
 
 try:  # glibc only; elsewhere freed memory is left to the allocator
     _malloc_trim = ctypes.CDLL(None).malloc_trim
@@ -76,15 +76,10 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     flags = _parse_flags(args.loss_flags)
-    needs_stage1 = any(f in flags for f in HEAD_FLAGS)
-    if needs_stage1 and args.labels is None:
-        raise DomainError("triplet/margin loss flags require --labels")
-    if "adaptive_margin" in flags and args.embeddings is None:
-        raise DomainError("margin loss flag requires --embeddings")
-    features = _load_features(args.input, args.labels)
-    embeddings = None
-    if args.embeddings is not None:
-        embeddings = LabelEmbeddings(rio.read_fvecs(args.embeddings))
+    if any(f in flags for f in HEAD_FLAGS):
+        raise DomainError("triplet/margin loss flags train a stage-1 feature head that model files do not store, "
+                          "so the saved model could not encode its own input; run stage 1 through the library")
+    features = _load_features(args.input)
     config = TrainConfig(
         k=args.k,
         m=args.m,
@@ -93,7 +88,6 @@ def cmd_train(args) -> int:
         batch_size=args.batch_size,
         epochs_stage2=args.epochs_stage2,
         epochs_stage3=args.epochs_stage3,
-        enable_stage1=needs_stage1,
         loss_flags=flags,
         seed=args.seed,
         init=args.init,
@@ -102,7 +96,7 @@ def cmd_train(args) -> int:
     try:
         resolved = {k: sorted(v) if isinstance(v, frozenset) else v for k, v in vars(config).items()}
         print(json.dumps({"record": "config", **resolved}), file=log_out)
-        model, log = train(features, config, embeddings)
+        model, log = train(features, config)
         for record in log:
             print(json.dumps({"record": "epoch", **record}), file=log_out)
     finally:
@@ -192,8 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a quantizer model")
     p.add_argument("--input", required=True)
-    p.add_argument("--labels")
-    p.add_argument("--embeddings")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--gamma", type=float, default=20.0)

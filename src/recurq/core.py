@@ -8,11 +8,12 @@ computed in float64; argmin ties break toward the smallest index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
-_ENCODE_CELLS = 1 << 16  # distance-matrix entries per encode block: 256 rows at K=256
+_BLOCK_CELLS = 1 << 16  # entries per (rows, width) block temporary: 256 rows at K=256, 1024 at D=64
 
 
 class DomainError(ValueError):
@@ -95,9 +96,11 @@ class RqModel:
         cb = _as_matrix(self.codebook, "codebook")
         object.__setattr__(self, "codebook", cb)
         cb.setflags(write=False)
-        k = cb.shape[0]
+        k, d = cb.shape
         if k < 1 or (k & (k - 1)) != 0:
             raise DomainError(f"codebook size {k} must be a power of two")
+        if d < 1:
+            raise DomainError("codebook dimension must be >= 1")
         if not np.isfinite(self.scale) or self.scale <= 0:
             raise DomainError("scale must be finite and positive")
         if not np.isfinite(self.gamma) or self.gamma <= 0:
@@ -179,15 +182,19 @@ class QuantTrace:
     probs: np.ndarray = field(repr=False, default=None)
 
 
-def hard_quantize(x, codebook) -> tuple[int, np.ndarray]:
-    """Nearest codeword by Euclidean distance; ties go to the smaller index."""
+def _level_step(x, codebook, gamma: float | None = None) -> _Level:
+    """One level of :func:`_recurrence` for the vector ``x`` against ``codebook``."""
     x = _as_vector(x, "x")
     cb = _as_matrix(codebook, "codebook")
     if cb.shape[1] != x.shape[0]:
         raise DomainError("dimension mismatch between x and codebook")
-    diff = cb - x
-    idx = int(np.argmin(np.einsum("kd,kd->k", diff, diff)))
-    return idx, cb[idx].copy()
+    return next(_recurrence(x[None, :], [(cb, np.einsum("kd,kd->k", cb, cb))], gamma))
+
+
+def hard_quantize(x, codebook) -> tuple[int, np.ndarray]:
+    """Nearest codeword by Euclidean distance; ties go to the smaller index."""
+    lv = _level_step(x, codebook)
+    return int(lv.idx[0]), lv.hard[0]
 
 
 def soft_quantize(x, codebook, gamma: float) -> SoftAssignment:
@@ -196,18 +203,10 @@ def soft_quantize(x, codebook, gamma: float) -> SoftAssignment:
     Weights are exp(-gamma * ||C_k - x||) normalized over k, computed with
     max-subtraction in the exponent for stability at large gamma.
     """
-    x = _as_vector(x, "x")
-    cb = _as_matrix(codebook, "codebook")
     if not np.isfinite(gamma) or gamma <= 0:
         raise DomainError("gamma must be finite and positive")
-    if cb.shape[1] != x.shape[0]:
-        raise DomainError("dimension mismatch between x and codebook")
-    dists = np.linalg.norm(cb - x, axis=1)
-    logits = -gamma * dists
-    logits -= logits.max()
-    probs = np.exp(logits)
-    probs /= probs.sum()
-    return SoftAssignment(probs=probs, expected=probs @ cb)
+    lv = _level_step(x, codebook, gamma)
+    return SoftAssignment(probs=lv.probs[0], expected=lv.soft[0])
 
 
 def _level_books(model: RqModel) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -223,6 +222,20 @@ class _Level(NamedTuple):
     dist: np.ndarray | None  # (N, K) Euclidean distances, soft path only
     probs: np.ndarray | None  # (N, K) softmax weights, soft path only
     soft: np.ndarray | None  # (N, D) blended codewords, soft path only
+
+
+def _row_blocks(n: int, width: int) -> list[slice]:
+    """Slices over ``n`` rows, each short enough that a (rows, width) temporary
+    stays cache-sized instead of touching N x width fresh pages."""
+    rows = max(1, _BLOCK_CELLS // width)
+    return [slice(start, start + rows) for start in range(0, n, rows)]
+
+
+def _label_rows(label_sets) -> tuple[np.ndarray, np.ndarray]:
+    """Flattened per-row label sets ``(labels, owner)``: ``labels[j]`` belongs to row ``owner[j]``."""
+    sizes = np.fromiter(map(len, label_sets), dtype=np.int64, count=len(label_sets))
+    labels = np.fromiter(chain.from_iterable(label_sets), dtype=np.int64, count=int(sizes.sum()))
+    return labels, np.repeat(np.arange(len(label_sets)), sizes)
 
 
 def _sq_distances(h: np.ndarray, book: np.ndarray, book_sq: np.ndarray) -> np.ndarray:
@@ -288,11 +301,9 @@ def encode_batch(data, model: RqModel) -> np.ndarray:
         raise DomainError("input dimension does not match model")
     codes = np.empty((x.shape[0], model.levels), dtype=np.int64, order="F")  # column per level, as search scans it
     books = _level_books(model)
-    # row blocks keep each (rows, K) temporary cache-sized instead of N x K fresh pages
-    rows = max(1, _ENCODE_CELLS // model.k)
-    for start in range(0, x.shape[0], rows):
-        for i, lv in enumerate(_recurrence(x[start : start + rows], books)):
-            codes[start : start + rows, i] = lv.idx
+    for rows in _row_blocks(x.shape[0], model.k):
+        for i, lv in enumerate(_recurrence(x[rows], books)):
+            codes[rows, i] = lv.idx
     return codes
 
 

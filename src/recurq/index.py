@@ -15,13 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
-from .core import DomainError, FeatureMatrix, RqModel, _as_vector, encode_batch
-
-_ROW_CHUNK = 1024  # rows reconstructed at a time: temporaries stay O(chunk * D), cache-sized at D=64
+from .core import DomainError, FeatureMatrix, RqModel, _as_vector, _label_rows, _row_blocks, encode_batch
 
 
 @dataclass
@@ -92,8 +89,7 @@ def prefix_reconstruction_blocks(codes: np.ndarray, model: RqModel):
     """Yield ``(rows, m, recon)`` per row block for m = 1..M; ``recon``, updated in place as m
     grows, holds the m-level reconstructions of ``codes[rows]`` (as :func:`_prefix_reconstructions`)."""
     weights = model.scale ** np.arange(model.levels)
-    for start in range(0, codes.shape[0], _ROW_CHUNK):
-        rows = slice(start, start + _ROW_CHUNK)
+    for rows in _row_blocks(codes.shape[0], model.dim):
         block = codes[rows]
         recon = np.zeros((block.shape[0], model.dim))
         for i in range(model.levels):
@@ -209,10 +205,7 @@ def evaluate(
     if len(db_labels) != db.n:
         raise DomainError("db_labels length must match database size")
     n = db.n
-    # flattened label sets: labels[j] belongs to row owner[j]
-    sizes = np.fromiter(map(len, db_labels), dtype=np.int64, count=n)
-    labels = np.fromiter(chain.from_iterable(db_labels), dtype=np.int64, count=int(sizes.sum()))
-    owner = np.repeat(np.arange(n), sizes)
+    labels, owner = _label_rows(db_labels)
     head = min(r_cutoff, n)
     ap_values, ranks = [], []
     for qi, q_set in enumerate(queries.label_sets()):

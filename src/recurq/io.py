@@ -45,13 +45,25 @@ def _with_crc(payload: bytes) -> bytes:
     return payload + struct.pack("<I", zlib.crc32(payload))
 
 
-def _check_crc(data: bytes, path) -> bytes:
+def _read_payload(path, magic: bytes, kind: str, header_fmt: str) -> tuple[list, memoryview]:
+    """Check the CRC, ``magic``, header length and version of the file at ``path``,
+    whose header after the magic is ``header_fmt`` with the version first; return
+    the header fields after the version and the body that follows the header."""
+    data = memoryview(Path(path).read_bytes())
     if len(data) < 4:
         raise FileFormatError(f"{path}: truncated file")
     payload, (crc,) = data[:-4], struct.unpack("<I", data[-4:])
     if zlib.crc32(payload) != crc:
         raise FileFormatError(f"{path}: CRC mismatch, file is corrupt")
-    return payload
+    if payload[:4] != magic:
+        raise FileFormatError(f"{path}: bad magic, not a {kind} file")
+    header_len = 4 + struct.calcsize(header_fmt)
+    if len(payload) < header_len:
+        raise FileFormatError(f"{path}: truncated header")
+    version, *fields = struct.unpack_from(header_fmt, payload, 4)
+    if version != FORMAT_VERSION:
+        raise FileFormatError(f"{path}: unsupported format version {version}")
+    return fields, payload[header_len:]
 
 
 def save_model(model: RqModel, path) -> None:
@@ -69,20 +81,10 @@ def save_model(model: RqModel, path) -> None:
 
 
 def load_model(path) -> RqModel:
-    data = Path(path).read_bytes()
-    payload = _check_crc(data, path)
-    if payload[:4] != MODEL_MAGIC:
-        raise FileFormatError(f"{path}: bad magic, not a model file")
-    header_len = 4 + struct.calcsize("<HIIIdd")
-    if len(payload) < header_len:
-        raise FileFormatError(f"{path}: truncated header")
-    version, k, d, m, w, gamma = struct.unpack("<HIIIdd", payload[4:header_len])
-    if version != FORMAT_VERSION:
-        raise FileFormatError(f"{path}: unsupported format version {version}")
-    expected = header_len + k * d * 4
-    if len(payload) != expected:
+    (k, d, m, w, gamma), body = _read_payload(path, MODEL_MAGIC, "model", "<HIIIdd")
+    if len(body) != k * d * 4:
         raise FileFormatError(f"{path}: size mismatch for {k}x{d} codebook")
-    codebook = np.frombuffer(payload[header_len:], dtype="<f4").reshape(k, d)
+    codebook = np.frombuffer(body, dtype="<f4").reshape(k, d)
     return RqModel(codebook.astype(np.float64), w, gamma, m)
 
 
@@ -96,23 +98,13 @@ def save_codes(db: EncodedDatabase, path) -> None:
 def load_codes(path, model: RqModel) -> EncodedDatabase:
     """Read a DRQC file; norms are recomputed from codes and model (the stored
     f32 norms are only CRC-checked), so it ranks exactly like the saved one."""
-    data = Path(path).read_bytes()
-    payload = _check_crc(data, path)
-    if payload[:4] != CODE_MAGIC:
-        raise FileFormatError(f"{path}: bad magic, not a code file")
-    header_len = 4 + struct.calcsize("<HQII")
-    if len(payload) < header_len:
-        raise FileFormatError(f"{path}: truncated header")
-    version, n, m, k = struct.unpack("<HQII", payload[4:header_len])
-    if version != FORMAT_VERSION:
-        raise FileFormatError(f"{path}: unsupported format version {version}")
+    (n, m, k), body = _read_payload(path, CODE_MAGIC, "code", "<HQII")
     if m != model.levels or k != model.k:
         raise FileFormatError(f"{path}: code file (M={m}, K={k}) does not match model")
     record = packed_size(m, k)
-    expected = header_len + n * record + 4 * n
-    if len(payload) != expected:
+    if len(body) != n * record + 4 * n:
         raise FileFormatError(f"{path}: size mismatch for N={n}")
-    packed = np.frombuffer(payload, dtype=np.uint8, count=n * record, offset=header_len)
+    packed = np.frombuffer(body, dtype=np.uint8, count=n * record)
     return database_from_codes(unpack_rows(packed.reshape(n, record), m, k), model)
 
 

@@ -12,27 +12,30 @@ gradient through the per-level powers w^(m-1).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from itertools import chain
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import _ENCODE_CELLS, DomainError, FeatureMatrix, RqModel, _as_matrix, _level_books, _recurrence, _sq_distances
+from .core import DomainError, FeatureMatrix, RqModel, _as_matrix, _label_rows, _level_books, _recurrence, _row_blocks, _sq_distances
 
 _EPS = 1e-30
 
-DISTORTION_FLAGS = ("hard_distortion", "soft_distortion", "joint_central")
+# distortion flag -> the DistortionReport field it logs and adds to the monitored loss, in summation order
+_REPORT_FIELDS = {"hard_distortion": "e_hard", "soft_distortion": "e_soft", "joint_central": "e_joint"}
+DISTORTION_FLAGS = tuple(_REPORT_FIELDS)
 HEAD_FLAGS = ("triplet", "adaptive_margin")
 ALL_FLAGS = DISTORTION_FLAGS + HEAD_FLAGS
 
-DEFAULT_FLAGS = frozenset(ALL_FLAGS)
+DEFAULT_FLAGS = frozenset(DISTORTION_FLAGS)
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     """Training hyperparameters.
 
+    Stage 1, the metric-learning feature head, runs when ``loss_flags`` holds a
+    head flag (``triplet``, ``adaptive_margin``); it needs labelled features.
     The scale w is kept at or above 1e-3 after every step but has no upper
     bound: w > 1, a codebook that grows from level to level, is a valid model
     (every prefix still equals encoding with that many levels), and capping it
@@ -50,7 +53,6 @@ class TrainConfig:
     epochs_stage1: int = 20
     epochs_stage2: int = 20
     epochs_stage3: int = 50
-    enable_stage1: bool = False
     loss_flags: frozenset[str] = DEFAULT_FLAGS
     triplet_margin: float = 1.0
     seed: int = 0
@@ -114,12 +116,14 @@ class _Forward(NamedTuple):
     soft_sums: np.ndarray  # (M, N, D) cumulative soft reconstructions
 
 
-def _batch_data(batch) -> np.ndarray:
+def _batch_data(batch, dim: int | None = None) -> np.ndarray:
+    """The batch as a finite, nonempty (N, dim) float64 matrix."""
     x = batch.data if isinstance(batch, FeatureMatrix) else np.asarray(batch, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
+    x = _as_matrix(x[None, :] if x.ndim == 1 else x, "batch")
     if x.shape[0] == 0:
         raise DomainError("batch must be nonempty")
+    if dim is not None and x.shape[1] != dim:
+        raise DomainError(f"batch width {x.shape[1]} does not match model dim {dim}")
     return x
 
 
@@ -137,13 +141,6 @@ def _forward(x: np.ndarray, model: RqModel) -> _Forward:
     return fw
 
 
-def _row_blocks(n: int, k: int) -> list[slice]:
-    """Row slices of ``encode_batch``'s block size at K columns, so every
-    (rows, K) temporary stays cache-sized."""
-    rows = max(1, _ENCODE_CELLS // k)
-    return [slice(start, start + rows) for start in range(0, n, rows)]
-
-
 def distortion_losses(batch, model: RqModel) -> DistortionReport:
     """Per-level and total distortion errors, batch-averaged.
 
@@ -153,7 +150,7 @@ def distortion_losses(batch, model: RqModel) -> DistortionReport:
     run through the recurrence in row blocks, keeping only the per-row errors,
     so memory grows with M*N, not with the soft path's M*N*K.
     """
-    x = _batch_data(batch)
+    x = _batch_data(batch, model.dim)
     books = _level_books(model)
     hard_err = np.empty((model.levels, x.shape[0]))
     soft_err = np.empty_like(hard_err)
@@ -190,7 +187,7 @@ def _unit_residual_grads(sums: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def hard_distortion_value(batch, model: RqModel, codes: np.ndarray) -> float:
     """Batch-mean hard distortion E_h with the given fixed assignments."""
-    x = _batch_data(batch)
+    x = _batch_data(batch, model.dim)
     total = 0.0
     acc = np.zeros_like(x)
     for m in range(1, model.levels + 1):
@@ -201,7 +198,7 @@ def hard_distortion_value(batch, model: RqModel, codes: np.ndarray) -> float:
 
 def grad_soft_distortion(batch, model: RqModel, fw: _Forward | None = None):
     """Analytic gradient of batch-mean E_s w.r.t. the codebook and scale."""
-    x = _batch_data(batch)
+    x = _batch_data(batch, model.dim)
     if fw is None:
         fw = _forward(x, model)
     c = model.codebook
@@ -230,7 +227,7 @@ def grad_soft_distortion(batch, model: RqModel, fw: _Forward | None = None):
 
 def grad_hard_distortion(batch, model: RqModel, fw: _Forward | None = None):
     """Subgradient of batch-mean E_h with argmin assignments held fixed."""
-    x = _batch_data(batch)
+    x = _batch_data(batch, model.dim)
     if fw is None:
         fw = _forward(x, model)
     c = model.codebook
@@ -397,10 +394,7 @@ def sample_triplets(label_sets, rng: np.random.Generator, anchors) -> TripletBat
     label with the anchor, a negative a row sharing none; each is drawn
     uniformly from its pool in ascending row order."""
     n = len(label_sets)
-    # label -> rows pools, built once: labels[j] belongs to row owner[j]
-    sizes = np.fromiter(map(len, label_sets), dtype=np.int64, count=n)
-    labels = np.fromiter(chain.from_iterable(label_sets), dtype=np.int64, count=int(sizes.sum()))
-    owner = np.repeat(np.arange(n), sizes)
+    labels, owner = _label_rows(label_sets)  # label -> rows pools, built once
     order = np.argsort(labels, kind="stable")
     keys, starts = np.unique(labels[order], return_index=True)
     pools = dict(zip(keys.tolist(), np.split(owner[order], starts[1:])))
@@ -521,14 +515,11 @@ def train(features: FeatureMatrix, config: TrainConfig, embeddings: LabelEmbeddi
 
     head = None
     label_sets = None
-    head_flags = [f for f in HEAD_FLAGS if f in flags]
-    if config.enable_stage1:
+    if any(f in flags for f in HEAD_FLAGS):
         if features.labels is None and features.multi_labels is None:
             raise DomainError("stage 1 requires labels")
         if "adaptive_margin" in flags and embeddings is None:
             raise DomainError("adaptive_margin loss requires label embeddings")
-        if not head_flags:
-            raise DomainError("stage 1 enabled but no triplet/adaptive_margin loss flag set")
         label_sets = features.label_sets()
         widths = config.head_widths
         if widths is None:
@@ -613,15 +604,13 @@ def _enabled_distortion_grads(xb, model, flags):
     return d_c, d_w
 
 
-def _monitored_loss(report: DistortionReport, flags) -> float:
+def _monitored_loss(report: DistortionReport, flags) -> tuple[dict[str, float], float]:
+    """The report fields the distortion flags select, and their sum in flag order."""
+    fields = {name: getattr(report, name) for flag, name in _REPORT_FIELDS.items() if flag in flags}
     total = 0.0
-    if "hard_distortion" in flags:
-        total += report.e_hard
-    if "soft_distortion" in flags:
-        total += report.e_soft
-    if "joint_central" in flags:
-        total += report.e_joint
-    return total
+    for value in fields.values():
+        total += value
+    return fields, total
 
 
 def _require_finite(value, what: str, stage: int, epoch: int) -> None:
@@ -637,7 +626,6 @@ def _train_quant_stage(stage, model, x, head, label_sets, embeddings, config, rn
     params = {"C": model.codebook.copy(), "w": np.float64(model.scale)}
     state = AdamState()
     head_state = AdamState() if head is not None else None
-    head_flags = [f for f in HEAD_FLAGS if f in flags] if head is not None else []
 
     def current_model(gamma=None):
         return RqModel(
@@ -648,11 +636,10 @@ def _train_quant_stage(stage, model, x, head, label_sets, embeddings, config, rn
         )
 
     def full_report(mdl):
-        feats = head.forward(x)[2] if head is not None else x
-        return distortion_losses(feats, mdl), feats
+        return distortion_losses(head.forward(x)[2] if head is not None else x, mdl)
 
-    report, _ = full_report(current_model())
-    best_loss = _monitored_loss(report, flags)
+    report = full_report(current_model())
+    best_loss = _monitored_loss(report, flags)[1]
     _require_finite(best_loss, "monitored loss before the first step", stage, 0)
     best = (params["C"].copy(), float(params["w"]))
     recent: list[float] = []
@@ -675,7 +662,7 @@ def _train_quant_stage(stage, model, x, head, label_sets, embeddings, config, rn
             params["w"] = np.float64(max(float(params["w"]), 1e-3))
             _require_finite(params["C"], "codebook", stage, epoch)
             _require_finite(params["w"], "scale w", stage, epoch)
-            if head is not None and head_flags and label_sets is not None:
+            if head is not None:
                 triplets = sample_triplets(label_sets, rng, batch_idx)
                 if len(triplets.anchors):
                     _, _, hgrads = _head_losses(
@@ -683,23 +670,11 @@ def _train_quant_stage(stage, model, x, head, label_sets, embeddings, config, rn
                     )
                     adam_step(head.params, hgrads, head_state, config)
 
-        mdl = current_model(gamma)
-        report, _ = full_report(mdl)
-        monitored = _monitored_loss(report, flags)
+        report = full_report(current_model(gamma))
+        fields, monitored = _monitored_loss(report, flags)
         _require_finite(monitored, "monitored loss", stage, epoch)
-        record = {
-            "stage": stage,
-            "epoch": epoch,
-            "wall_time": time.perf_counter() - t0,
-        }
-        if "hard_distortion" in flags:
-            record["e_hard"] = report.e_hard
-        if "soft_distortion" in flags:
-            record["e_soft"] = report.e_soft
-        if "joint_central" in flags:
-            record["e_joint"] = report.e_joint
-        record["monitored"] = monitored
-        log.append(record)
+        log.append({"stage": stage, "epoch": epoch, "wall_time": time.perf_counter() - t0,
+                    **fields, "monitored": monitored})
 
         if monitored < best_loss:
             best_loss = monitored

@@ -117,6 +117,22 @@ class TestSoftQuantize:
             soft_quantize([0.0], [[1.0]], gamma=-2.0)
 
 
+def test_quantizers_equal_training_forward_at_one_level():
+    # hard_quantize and soft_quantize are the M=1 step of the recurrence, bit for bit
+    rng = np.random.default_rng(6)
+    for _ in range(300):
+        model = random_model(rng, k=1 << int(rng.integers(0, 8)), d=int(rng.integers(1, 17)), m=1,
+                             gamma=float(rng.uniform(0.1, 100.0)))
+        x = rng.normal(size=model.dim)
+        fw = _forward(x[None, :], model)
+        idx, codeword = hard_quantize(x, model.codebook)
+        sa = soft_quantize(x, model.codebook, model.gamma)
+        assert idx == fw.codes[0, 0]
+        assert np.array_equal(codeword, fw.hard_sums[0, 0])
+        assert np.array_equal(sa.probs, fw.probs[0][0])
+        assert np.array_equal(sa.expected, fw.soft_sums[0, 0])
+
+
 class TestEncode:
     def test_forced_two_level_example(self):
         model = RqModel([[1.0, 0.0], [0.0, 1.0]], 0.5, 20.0, 2)
@@ -371,6 +387,10 @@ class TestModelInvariants:
     def test_rejects_non_power_of_two_codebook(self):
         with pytest.raises(DomainError):
             RqModel(np.zeros((3, 2)), 0.5, 20.0, 1)
+
+    def test_rejects_zero_dimension(self):
+        with pytest.raises(DomainError, match="dimension"):
+            RqModel(np.zeros((4, 0)), 0.5, 20.0, 1)
 
 
 @settings(max_examples=200, deadline=None)

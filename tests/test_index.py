@@ -12,7 +12,8 @@ from recurq import (
     evaluate,
     search,
 )
-from recurq.index import adc_distances, average_precision, _prefix_reconstructions
+from recurq.core import _row_blocks
+from recurq.index import adc_distances, average_precision, _prefix_reconstructions, database_from_codes
 from recurq.synth import synth_dataset
 
 
@@ -79,6 +80,22 @@ def test_prefix_norms_equal_reconstruction_norms(k, m):
         recon = _prefix_reconstructions(db.codes, model, p)
         assert np.array_equal(db.prefix_sq_norms[:, p - 1], np.einsum("nd,nd->n", recon, recon))
     assert np.array_equal(db.recon_sq_norms, db.prefix_sq_norms[:, -1])
+
+
+@pytest.mark.parametrize("d", [1, 3, 8, 17, 200, 1000, 5000])
+def test_prefix_norms_equal_reconstruction_norms_across_blocks(d):
+    # the row block is 2^16 // D rows, so only D=64 gives 1024-row blocks. D stays at
+    # most 8192: above it numpy's einsum sums a 1-row block in a different order than
+    # the same row inside a larger array, so a short last block changes the last bits.
+    rows = max(1, 2 ** 16 // d)
+    n = 2 * rows + max(1, rows // 2)  # two full blocks and a short one
+    assert len(_row_blocks(n, d)) == 3
+    rng = np.random.default_rng(d)
+    model = random_model(rng, k=16, d=d, m=3)
+    db = database_from_codes(rng.integers(0, 16, size=(n, 3)), model)
+    for p in range(1, 4):
+        recon = _prefix_reconstructions(db.codes, model, p)
+        assert np.array_equal(db.prefix_sq_norms[:, p - 1], np.einsum("nd,nd->n", recon, recon))
 
 
 class TestAdcTable:

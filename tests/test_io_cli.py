@@ -1,10 +1,14 @@
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recurq import (
+    DomainError,
     FeatureMatrix,
     FileFormatError,
     RqModel,
@@ -25,6 +29,7 @@ from recurq import (
 import recurq.cli
 from recurq.cli import main
 from recurq.index import adc_distances
+from recurq.io import CODE_MAGIC, MODEL_MAGIC
 
 
 def make_model(rng, k=8, d=6, m=3):
@@ -135,6 +140,63 @@ def test_truncated_header_rejected(tmp_path, magic):
             load_model(path)
         else:
             load_codes(path, make_model(np.random.default_rng(69)))
+
+
+# (M, K, D) of the model every fuzzed code file is loaded against
+FUZZ_MODEL = (2, 8, 4)
+
+# DRQM fields (K, D, M) and DRQC fields (N, M, K), each set invalid in one of the ways
+# a loader must catch: a size claim far beyond the bytes present, K not a power of two,
+# M or D of 0, a code file whose (M, K) is not the model's
+_u32 = st.integers(0, 2 ** 32 - 1)
+MODEL_HEADERS = st.one_of(
+    st.tuples(_u32, _u32, st.integers(1, 8)).filter(lambda f: f[0] * f[1] > 2 ** 20),
+    st.tuples(st.integers(0, 64).filter(lambda k: k == 0 or k & (k - 1)), st.integers(1, 8), st.integers(1, 8)),
+    st.tuples(st.sampled_from([1, 2, 8, 64]), st.integers(1, 8), st.just(0)),
+    st.tuples(st.sampled_from([1, 2, 8, 64]), st.just(0), _u32),
+)
+CODE_HEADERS = st.one_of(
+    st.tuples(st.integers(2 ** 20, 2 ** 64 - 1), st.just(FUZZ_MODEL[0]), st.just(FUZZ_MODEL[1])),
+    st.tuples(st.integers(0, 64), st.integers(0, 16), _u32).filter(lambda f: f[1:] != FUZZ_MODEL[:2]),
+)
+
+
+def _load_under_tracemalloc(load):
+    tracemalloc.start()
+    try:
+        with pytest.raises((FileFormatError, DomainError)):
+            load()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@settings(max_examples=150, deadline=None)
+@given(fields=MODEL_HEADERS, body_len=st.integers(0, 64), scale=st.floats(0.1, 2.0), gamma=st.floats(0.1, 50.0))
+def test_fuzzed_model_header_rejected(tmp_path_factory, fields, body_len, scale, gamma):
+    k, d, m = fields
+    if k * d <= 2 ** 20:  # a claim the body can meet: give it exactly that many bytes
+        body_len = 4 * k * d
+    payload = MODEL_MAGIC + struct.pack("<HIIIdd", 1, k, d, m, scale, gamma) + bytes(body_len)
+    path = tmp_path_factory.mktemp("fuzz") / "m.drqm"
+    path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
+    assert _load_under_tracemalloc(lambda: load_model(path)) < 2 ** 20
+    assert main(["encode", "--model", str(path), "--input", str(path), "--out", str(path.with_suffix(".drqc"))]) == 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(fields=CODE_HEADERS, body_len=st.integers(0, 64))
+def test_fuzzed_code_header_rejected(tmp_path_factory, fields, body_len):
+    n, m, k = fields
+    model = make_model(np.random.default_rng(72), k=FUZZ_MODEL[1], d=FUZZ_MODEL[2], m=FUZZ_MODEL[0])
+    payload = CODE_MAGIC + struct.pack("<HQII", 1, n, m, k) + bytes(body_len)
+    tmp = tmp_path_factory.mktemp("fuzz")
+    path, model_path = tmp / "c.drqc", tmp / "m.drqm"
+    path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
+    save_model(model, model_path)
+    assert _load_under_tracemalloc(lambda: load_codes(path, model)) < 2 ** 20
+    assert main(["search", "--model", str(model_path), "--codes", str(path), "--queries", str(path),
+                 "--topk", "1"]) == 2
 
 
 def test_loaded_codes_are_column_major(tmp_path):
@@ -349,6 +411,15 @@ class TestCli:
                    "--loss-flags", "hard,soft,joint,triplet",
                    "--out", str(tmp_path / "m.drqm")])
         assert rc == 2
+
+    @pytest.mark.parametrize("flags", ["hard,soft,joint,triplet", "hard,margin"])
+    def test_head_flags_rejected_with_reason(self, tmp_path, capsys, flags):
+        vec, _ = self._synth(tmp_path, n=100)
+        rc = main(["train", "--input", str(vec), "--k", "8", "--m", "1",
+                   "--loss-flags", flags, "--out", str(tmp_path / "m.drqm")])
+        assert rc == 2
+        assert "feature head that model files do not store" in capsys.readouterr().err
+        assert not (tmp_path / "m.drqm").exists()
 
     def test_non_finite_training_exit_code(self, tmp_path, capsys):
         vec, _ = self._synth(tmp_path, n=200)

@@ -24,7 +24,7 @@ from recurq import (
     triplet_loss,
 )
 from recurq.synth import synth_dataset
-from recurq.train import AdamState, _forward, _row_blocks, hard_distortion_value, sample_triplets
+from recurq.train import ALL_FLAGS, AdamState, _forward, _row_blocks, hard_distortion_value, sample_triplets
 
 FD_STEP = 1e-6
 
@@ -89,6 +89,19 @@ class TestDistortionLosses:
         model = RqModel([[1.0, 0.0], [0.0, 1.0]], 0.5, 5.0, 1)
         with pytest.raises(DomainError):
             distortion_losses(np.empty((0, 2)), model)
+
+
+@pytest.mark.parametrize("fn", [distortion_losses, grad_hard_distortion, grad_soft_distortion])
+@pytest.mark.parametrize("batch,message", [
+    (np.ones((3, 5)), "batch width 5 does not match model dim 4"),
+    (np.ones(3), "batch width 3 does not match model dim 4"),
+    (np.array([[0.1, 0.2, 0.3, 0.4], [0.1, np.nan, 0.3, 0.4]]), "non-finite"),
+    (np.array([[np.inf, 0.0, 0.0, 0.0]]), "non-finite"),
+], ids=["width", "vector_width", "nan_row", "inf"])
+def test_malformed_batch_rejected(fn, batch, message):
+    model = RqModel(np.eye(4), 0.5, 5.0, 2)
+    with pytest.raises(DomainError, match=message):
+        fn(batch, model)
 
 
 class TestSoftGradient:
@@ -427,7 +440,7 @@ class TestTrain:
 
     def test_stage1_requires_labels(self):
         fm = FeatureMatrix(np.random.default_rng(0).normal(size=(20, 4)))
-        config = TrainConfig(k=4, m=1, enable_stage1=True)
+        config = TrainConfig(k=4, m=1, loss_flags=frozenset(ALL_FLAGS))
         with pytest.raises(DomainError):
             train(fm, config)
 
@@ -438,7 +451,7 @@ class TestTrain:
         config = TrainConfig(
             k=8,
             m=2,
-            enable_stage1=True,
+            loss_flags=frozenset(ALL_FLAGS),
             epochs_stage1=2,
             epochs_stage2=2,
             epochs_stage3=2,
