@@ -8,15 +8,14 @@ metric per line so other tools can parse it without a reporting dependency.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import json
 import sys
 
-import numpy as np
-
 from . import io as rio
-from .core import DomainError, FeatureMatrix
-from .index import _prefix_reconstructions, encode_database, evaluate, prefix_reconstruction_blocks, search
+from .core import DomainError, FeatureMatrix, _hard_errors
+from .index import _prefix_reconstructions, encode_database, evaluate, search
 from .synth import synth_dataset
 from .train import ALL_FLAGS, HEAD_FLAGS, TrainConfig, train
 
@@ -51,18 +50,14 @@ def _parse_flags(csv: str) -> frozenset[str]:
     return frozenset(flags)
 
 
-def _load_features(vec_path, label_path=None) -> FeatureMatrix:
-    data = rio.read_fvecs(vec_path)
-    labels = None
-    multi = None
-    if label_path is not None:
-        sets = rio.read_labels(label_path)
-        if len(sets) != data.shape[0]:
-            raise DomainError("label file row count does not match vectors")
-        if all(len(s) == 1 for s in sets):
-            labels = np.array([next(iter(s)) for s in sets], dtype=np.int64)
-        multi = sets
-    return FeatureMatrix(data=data, labels=labels, multi_labels=multi)
+@contextlib.contextmanager
+def _output(path):
+    """A text stream writing to the file at ``path``, or stdout when no path is given."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w") as f:
+        yield f
 
 
 def cmd_synth(args) -> int:
@@ -79,7 +74,7 @@ def cmd_train(args) -> int:
     if any(f in flags for f in HEAD_FLAGS):
         raise DomainError("triplet/margin loss flags train a stage-1 feature head that model files do not store, "
                           "so the saved model could not encode its own input; run stage 1 through the library")
-    features = _load_features(args.input)
+    features = FeatureMatrix(rio.read_fvecs(args.input))
     config = TrainConfig(
         k=args.k,
         m=args.m,
@@ -92,16 +87,12 @@ def cmd_train(args) -> int:
         seed=args.seed,
         init=args.init,
     )
-    log_out = open(args.log, "w") if args.log else sys.stdout
-    try:
+    with _output(args.log) as log_out:
         resolved = {k: sorted(v) if isinstance(v, frozenset) else v for k, v in vars(config).items()}
         print(json.dumps({"record": "config", **resolved}), file=log_out)
         model, log = train(features, config)
         for record in log:
             print(json.dumps({"record": "epoch", **record}), file=log_out)
-    finally:
-        if args.log:
-            log_out.close()
     rio.save_model(model, args.out)
     bits = model.code_bits
     print(f"saved model to {args.out} ({model.k}x{model.dim} codebook, "
@@ -117,11 +108,8 @@ def cmd_encode(args) -> int:
     db = encode_database(data, model)
     rio.save_codes(db, args.out)
     if data.shape[0]:
-        err = np.zeros(model.levels)
-        for rows, m, recon in prefix_reconstruction_blocks(db.codes, model):
-            err[m - 1] += np.linalg.norm(recon - data[rows], axis=1).sum()
-        for m, total in enumerate(err, start=1):
-            print(f"level={m} mean_e_hard={total / data.shape[0]:.6f}")
+        for m, err in enumerate(_hard_errors(data, db.codes, model), start=1):
+            print(f"level={m} mean_e_hard={err:.6f}")
     print(f"encoded {db.n} vectors to {args.out}")
     if args.reconstruct:
         recon = _prefix_reconstructions(db.codes, model, model.levels)
@@ -134,35 +122,29 @@ def cmd_search(args) -> int:
     model = rio.load_model(args.model)
     db = rio.load_codes(args.codes, model)
     queries = rio.read_fvecs(args.queries)
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
+    with _output(args.out) as out:
         for qi, q in enumerate(queries):
             ids, dists = search(q, db, args.topk, args.prefix_m)
             for rank, (i, dist) in enumerate(zip(ids, dists), start=1):
                 print(f"query={qi} rank={rank} id={i} dist={dist:.9g}", file=out)
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 
 def cmd_eval(args) -> int:
     model = rio.load_model(args.model)
     db = rio.load_codes(args.codes, model)
-    queries = _load_features(args.queries, args.query_labels)
-    if queries.multi_labels is None:
-        raise DomainError("eval requires --query-labels")
+    data = rio.read_fvecs(args.queries)
+    query_labels = rio.read_labels(args.query_labels)
+    if len(query_labels) != data.shape[0]:
+        raise DomainError("label file row count does not match vectors")
+    queries = FeatureMatrix(data, multi_labels=query_labels)
     db_labels = rio.read_labels(args.db_labels)
     precision_at = tuple(int(v) for v in args.precision_at.split(",") if v.strip()) if args.precision_at else ()
     report = evaluate(queries, db, db_labels, args.map_cutoff, precision_at, args.prefix_m)
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
+    with _output(args.out) as out:
         print(f"map@{args.map_cutoff}={report.map_at_r:.6f}", file=out)
         for r, p in report.precision_at_r:
             print(f"precision@{r}={p:.6f}", file=out)
-    finally:
-        if args.out:
-            out.close()
     if args.pr_curve:
         with open(args.pr_curve, "w") as f:
             for rec, prec in report.pr_curve:

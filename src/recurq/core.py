@@ -131,10 +131,6 @@ class RqModel:
     def with_levels(self, levels: int) -> "RqModel":
         return RqModel(self.codebook, self.scale, self.gamma, levels)
 
-    def scaled_codebook(self, level: int) -> np.ndarray:
-        """Codebook used at 1-based recurrence level ``level``."""
-        return self.scale ** (level - 1) * self.codebook
-
 
 @dataclass(frozen=True)
 class SoftAssignment:
@@ -209,9 +205,16 @@ def soft_quantize(x, codebook, gamma: float) -> SoftAssignment:
     return SoftAssignment(probs=lv.probs[0], expected=lv.soft[0])
 
 
+def _level_weights(scale: float, m: int) -> list[float]:
+    """The weights w^0..w^(m-1) of the first ``m`` levels, by Python ``**``. Every
+    level's scale comes from here, so the encoder, the decoder and the ADC table
+    agree bit for bit: numpy's array power gives other last bits for some w."""
+    return [scale ** i for i in range(m)]
+
+
 def _level_books(model: RqModel) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-level ``(w^(m-1) * C, squared row norms)`` of the shared codebook."""
-    books = [model.scaled_codebook(m) for m in range(1, model.levels + 1)]
+    books = [w * model.codebook for w in _level_weights(model.scale, model.levels)]
     return [(scaled, np.einsum("kd,kd->k", scaled, scaled)) for scaled in books]
 
 
@@ -307,6 +310,27 @@ def encode_batch(data, model: RqModel) -> np.ndarray:
     return codes
 
 
+def _reconstructions(codes: np.ndarray, model: RqModel):
+    """Yield the m-level reconstruction of every row of the (N, L) ``codes`` for
+    m = 1..L, as one (N, D) array updated in place: level m adds w^(m-1) * C at
+    the level's sub-index, in level order, as the encoder's own running sum does.
+    L may exceed ``model.levels``."""
+    recon = np.zeros((codes.shape[0], model.dim))
+    for i, w in enumerate(_level_weights(model.scale, codes.shape[1])):
+        recon += w * model.codebook[codes[:, i]]
+        yield recon
+
+
+def _hard_errors(x: np.ndarray, codes: np.ndarray, model: RqModel) -> np.ndarray:
+    """(L,) mean Euclidean error of each level's reconstruction of ``codes``
+    against the rows of ``x``: summed over row blocks, then divided by N."""
+    err = np.zeros(codes.shape[1])
+    for rows in _row_blocks(x.shape[0], model.dim):
+        for m, recon in enumerate(_reconstructions(codes[rows], model)):
+            err[m] += np.linalg.norm(recon - x[rows], axis=1).sum()
+    return err / x.shape[0]
+
+
 def reconstruct_hard(codes: CodeSequence, model: RqModel, m: int) -> np.ndarray:
     """Prefix reconstruction from the first ``m`` sub-indices."""
     if not 1 <= m <= len(codes):
@@ -314,8 +338,8 @@ def reconstruct_hard(codes: CodeSequence, model: RqModel, m: int) -> np.ndarray:
     idx = codes.indices[:m]
     if np.any(idx >= model.k):
         raise DomainError("sub-index out of range for model codebook")
-    weights = model.scale ** np.arange(m)
-    return weights @ model.codebook[idx]
+    *_, recon = _reconstructions(idx[None, :], model)
+    return recon[0]
 
 
 def reconstruct_soft(trace: QuantTrace, m: int) -> np.ndarray:

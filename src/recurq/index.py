@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DomainError, FeatureMatrix, RqModel, _as_vector, _label_rows, _row_blocks, encode_batch
+from .core import DomainError, FeatureMatrix, RqModel, _as_vector, _label_rows, _level_weights, _reconstructions, _row_blocks, encode_batch
 
 
 @dataclass
@@ -78,23 +78,9 @@ class EvalReport:
 
 
 def _prefix_reconstructions(codes: np.ndarray, model: RqModel, m: int) -> np.ndarray:
-    weights = model.scale ** np.arange(m)
-    recon = np.zeros((codes.shape[0], model.dim))
-    for i in range(m):
-        recon += weights[i] * model.codebook[codes[:, i]]
+    """(N, D) m-level reconstructions of the rows of ``codes``."""
+    *_, recon = _reconstructions(codes[:, :m], model)
     return recon
-
-
-def prefix_reconstruction_blocks(codes: np.ndarray, model: RqModel):
-    """Yield ``(rows, m, recon)`` per row block for m = 1..M; ``recon``, updated in place as m
-    grows, holds the m-level reconstructions of ``codes[rows]`` (as :func:`_prefix_reconstructions`)."""
-    weights = model.scale ** np.arange(model.levels)
-    for rows in _row_blocks(codes.shape[0], model.dim):
-        block = codes[rows]
-        recon = np.zeros((block.shape[0], model.dim))
-        for i in range(model.levels):
-            recon += weights[i] * model.codebook[block[:, i]]
-            yield rows, i + 1, recon
 
 
 def database_from_codes(codes: np.ndarray, model: RqModel, ids=None) -> EncodedDatabase:
@@ -106,8 +92,9 @@ def database_from_codes(codes: np.ndarray, model: RqModel, ids=None) -> EncodedD
         raise DomainError("ids length must match number of rows")
     # column-major, so the column a query of any prefix length reads is contiguous
     norms = np.empty((n, model.levels), order="F")
-    for rows, m, recon in prefix_reconstruction_blocks(codes, model):
-        norms[rows, m - 1] = np.einsum("nd,nd->n", recon, recon)
+    for rows in _row_blocks(n, model.dim):
+        for m, recon in enumerate(_reconstructions(codes[rows], model)):
+            norms[rows, m] = np.einsum("nd,nd->n", recon, recon)
     return EncodedDatabase(codes, norms, model, ids)
 
 
@@ -123,9 +110,8 @@ def build_adc_table(query, model: RqModel) -> AdcTable:
     q = _as_vector(query, "query")
     if q.shape[0] != model.dim:
         raise DomainError("query dimension does not match model")
-    base = model.codebook @ q
-    weights = model.scale ** np.arange(model.levels)
-    return AdcTable(dot_table=np.outer(weights, base), query_sq_norm=float(q @ q))
+    dot_table = np.outer(_level_weights(model.scale, model.levels), model.codebook @ q)
+    return AdcTable(dot_table=dot_table, query_sq_norm=float(q @ q))
 
 
 def adc_distances(query, db: EncodedDatabase, prefix_m: int | None = None) -> np.ndarray:

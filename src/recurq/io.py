@@ -89,6 +89,10 @@ def load_model(path) -> RqModel:
 
 
 def save_codes(db: EncodedDatabase, path) -> None:
+    """Write a DRQC v1 file. The format has no field for item ids, so a database
+    with ids other than 0..N-1 is rejected rather than reloaded under new ids."""
+    if not np.array_equal(db.ids, np.arange(db.n)):
+        raise DomainError("DRQC files store no item ids; only a database with ids 0..N-1 can be saved")
     model = db.model
     header = CODE_MAGIC + struct.pack("<HQII", FORMAT_VERSION, db.n, model.levels, model.k)
     body = pack_rows(db.codes, model.k).tobytes() + db.recon_sq_norms.astype("<f4").tobytes()

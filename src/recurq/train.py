@@ -17,9 +17,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DomainError, FeatureMatrix, RqModel, _as_matrix, _label_rows, _level_books, _recurrence, _row_blocks, _sq_distances
+from .core import DomainError, FeatureMatrix, RqModel, _as_matrix, _hard_errors, _label_rows, _level_books, _recurrence, _row_blocks, _sq_distances
 
 _EPS = 1e-30
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPSILON = 0.9, 0.999, 1e-8
+_TRIPLET_MARGIN = 1.0
 
 # distortion flag -> the DistortionReport field it logs and adds to the monitored loss, in summation order
 _REPORT_FIELDS = {"hard_distortion": "e_hard", "soft_distortion": "e_soft", "joint_central": "e_joint"}
@@ -36,6 +38,8 @@ class TrainConfig:
 
     Stage 1, the metric-learning feature head, runs when ``loss_flags`` holds a
     head flag (``triplet``, ``adaptive_margin``); it needs labelled features.
+    Its head has widths (D // 2, embedding dim or 64), and its triplet margin is 1.
+    Adam uses beta1 0.9, beta2 0.999 and epsilon 1e-8.
     The scale w is kept at or above 1e-3 after every step but has no upper
     bound: w > 1, a codebook that grows from level to level, is a valid model
     (every prefix still equals encoding with that many levels), and capping it
@@ -46,25 +50,18 @@ class TrainConfig:
     m: int
     gamma: float = 20.0
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     batch_size: int = 256
     epochs_stage1: int = 20
     epochs_stage2: int = 20
     epochs_stage3: int = 50
     loss_flags: frozenset[str] = DEFAULT_FLAGS
-    triplet_margin: float = 1.0
     seed: int = 0
     init: str = "random"  # codebook init: "random" | "kmeans"
-    head_widths: tuple[int, int] | None = None
     gamma_final: float | None = None  # linear anneal target over stage 3
 
     def __post_init__(self):
         if self.lr <= 0:
             raise DomainError("lr must be positive")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise DomainError("beta1/beta2 must be in [0, 1)")
         if self.batch_size < 1:
             raise DomainError("batch_size must be >= 1")
         unknown = set(self.loss_flags) - set(ALL_FLAGS)
@@ -187,13 +184,7 @@ def _unit_residual_grads(sums: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def hard_distortion_value(batch, model: RqModel, codes: np.ndarray) -> float:
     """Batch-mean hard distortion E_h with the given fixed assignments."""
-    x = _batch_data(batch, model.dim)
-    total = 0.0
-    acc = np.zeros_like(x)
-    for m in range(1, model.levels + 1):
-        acc = acc + model.scaled_codebook(m)[codes[:, m - 1]]
-        total += np.linalg.norm(acc - x, axis=1).mean()
-    return float(total)
+    return float(_hard_errors(_batch_data(batch, model.dim), codes, model).sum())
 
 
 def grad_soft_distortion(batch, model: RqModel, fw: _Forward | None = None):
@@ -380,11 +371,11 @@ def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig):
         if name not in state.m:
             state.m[name] = np.zeros_like(p, dtype=np.float64)
             state.v[name] = np.zeros_like(p, dtype=np.float64)
-        state.m[name] = config.beta1 * state.m[name] + (1 - config.beta1) * g
-        state.v[name] = config.beta2 * state.v[name] + (1 - config.beta2) * g * g
-        m_hat = state.m[name] / (1 - config.beta1 ** t)
-        v_hat = state.v[name] / (1 - config.beta2 ** t)
-        params[name] = p - config.lr * m_hat / (np.sqrt(v_hat) + config.epsilon)
+        state.m[name] = _ADAM_BETA1 * state.m[name] + (1 - _ADAM_BETA1) * g
+        state.v[name] = _ADAM_BETA2 * state.v[name] + (1 - _ADAM_BETA2) * g * g
+        m_hat = state.m[name] / (1 - _ADAM_BETA1 ** t)
+        v_hat = state.v[name] / (1 - _ADAM_BETA2 ** t)
+        params[name] = p - config.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPSILON)
     return params, state
 
 
@@ -459,7 +450,7 @@ def _norm_backward(x: np.ndarray, d_hat: np.ndarray) -> np.ndarray:
     return (d_hat - np.einsum("nd,nd->n", d_hat, x_hat)[:, None] * x_hat) / norms
 
 
-def _head_losses(head, x, triplets, label_sets, embeddings, config, flags):
+def _head_losses(head, x, triplets, label_sets, embeddings, flags):
     """Triplet + adaptive-margin losses on head outputs with parameter grads."""
     rows = np.unique(np.concatenate([triplets.anchors, triplets.positives, triplets.negatives]))
     pos_of = {int(r): i for i, r in enumerate(rows)}
@@ -475,9 +466,7 @@ def _head_losses(head, x, triplets, label_sets, embeddings, config, flags):
         d_hat = np.zeros_like(z_hat)
         for a, p, ng in zip(triplets.anchors, triplets.positives, triplets.negatives):
             ia, ip, ing = pos_of[int(a)], pos_of[int(p)], pos_of[int(ng)]
-            val, (ga, gp, gn) = triplet_loss(
-                z_hat[ia], z_hat[ip], z_hat[ing], config.triplet_margin
-            )
+            val, (ga, gp, gn) = triplet_loss(z_hat[ia], z_hat[ip], z_hat[ing], _TRIPLET_MARGIN)
             loss_t += val
             d_hat[ia] += ga
             d_hat[ip] += gp
@@ -521,12 +510,7 @@ def train(features: FeatureMatrix, config: TrainConfig, embeddings: LabelEmbeddi
         if "adaptive_margin" in flags and embeddings is None:
             raise DomainError("adaptive_margin loss requires label embeddings")
         label_sets = features.label_sets()
-        widths = config.head_widths
-        if widths is None:
-            d2 = embeddings.dim if embeddings is not None else 64
-            widths = (max(x.shape[1] // 2, 1), d2)
-        if embeddings is not None and widths[1] != embeddings.dim:
-            raise DomainError("second head width must match embedding dimension")
+        widths = (max(x.shape[1] // 2, 1), embeddings.dim if embeddings is not None else 64)
         head = _Head(x.shape[1], widths, rng)
         _train_stage1(head, x, label_sets, embeddings, config, rng, log)
 
@@ -563,9 +547,7 @@ def _train_stage1(head, x, label_sets, embeddings, config, rng, log):
             triplets = sample_triplets(label_sets, rng, anchors)
             if len(triplets.anchors) == 0:
                 continue
-            lt, ls, grads = _head_losses(
-                head, x, triplets, label_sets, embeddings, config, flags
-            )
+            lt, ls, grads = _head_losses(head, x, triplets, label_sets, embeddings, flags)
             adam_step(head.params, grads, state, config)
             tot_t += lt
             tot_s += ls
@@ -665,9 +647,7 @@ def _train_quant_stage(stage, model, x, head, label_sets, embeddings, config, rn
             if head is not None:
                 triplets = sample_triplets(label_sets, rng, batch_idx)
                 if len(triplets.anchors):
-                    _, _, hgrads = _head_losses(
-                        head, x, triplets, label_sets, embeddings, config, flags
-                    )
+                    _, _, hgrads = _head_losses(head, x, triplets, label_sets, embeddings, flags)
                     adam_step(head.params, hgrads, head_state, config)
 
         report = full_report(current_model(gamma))

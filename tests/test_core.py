@@ -269,6 +269,24 @@ class TestReconstruct:
             reconstruct_soft(trace, 3)
 
 
+def test_reconstruct_hard_equals_encoder_running_sum():
+    # the decoder adds the same weighted codewords in the same order as the encoder
+    rng = np.random.default_rng(130)
+    for _ in range(200):
+        model = RqModel(rng.normal(size=(8, 6)), float(rng.uniform(0.1, 1.5)), 5.0, int(rng.integers(3, 9)))
+        codes, trace = encode(rng.normal(size=6), model)
+        sums = np.cumsum(trace.hard_partials, axis=0)
+        for m in range(1, model.levels + 1):
+            assert np.array_equal(reconstruct_hard(codes, model, m), sums[m - 1])
+
+
+def test_reconstruct_hard_code_longer_than_model():
+    # the level weights follow the code's length, not the model's level count
+    model = RqModel(np.eye(4), 0.5, 5.0, 2)
+    recon = reconstruct_hard(CodeSequence(np.arange(4)), model, 4)
+    assert np.array_equal(recon, [1.0, 0.5, 0.25, 0.125])
+
+
 class TestPacking:
     def test_byte_aligned(self):
         packed = pack_codes(CodeSequence(np.array([255, 0, 17, 3])), 256)

@@ -15,6 +15,10 @@ from recurq import (
 from recurq.core import _row_blocks
 from recurq.index import adc_distances, average_precision, _prefix_reconstructions, database_from_codes
 from recurq.synth import synth_dataset
+from recurq.train import _forward
+
+# numpy's w ** np.arange(4) and Python's w ** 3 differ in the last bit of w^3 for this w
+LAST_BIT_W = 0.6095693498571635
 
 
 def random_model(rng, k=16, d=8, m=3, gamma=5.0):
@@ -96,6 +100,29 @@ def test_prefix_norms_equal_reconstruction_norms_across_blocks(d):
     for p in range(1, 4):
         recon = _prefix_reconstructions(db.codes, model, p)
         assert np.array_equal(db.prefix_sq_norms[:, p - 1], np.einsum("nd,nd->n", recon, recon))
+
+
+def test_prefix_reconstructions_equal_encoder_running_sum():
+    # an independent check of the level sum: the prefix norms and their tests' reference
+    # both come from _prefix_reconstructions, the encoder's running sum does not
+    rng = np.random.default_rng(110)
+    cases = [(LAST_BIT_W, 4)] + [(float(rng.uniform(0.1, 1.5)), int(rng.integers(3, 9))) for _ in range(60)]
+    for w, levels in cases:
+        model = RqModel(rng.normal(size=(16, 8)), w, 5.0, levels)
+        x = rng.normal(size=(40, 8))
+        fw = _forward(x, model)
+        for m in range(1, model.levels + 1):
+            assert np.array_equal(_prefix_reconstructions(fw.codes, model, m), fw.hard_sums[m - 1])
+
+
+def test_adc_table_rows_use_python_level_weights():
+    rng = np.random.default_rng(111)
+    for w in [LAST_BIT_W] + rng.uniform(0.1, 1.5, size=20).tolist():
+        model = RqModel(rng.normal(size=(16, 8)), w, 5.0, 6)
+        q = rng.normal(size=8)
+        table = build_adc_table(q, model)
+        for i in range(model.levels):
+            assert np.array_equal(table.dot_table[i], (w ** i) * (model.codebook @ q))
 
 
 class TestAdcTable:

@@ -94,6 +94,19 @@ class TestCodeFile:
             for p in range(1, m + 1):
                 assert np.array_equal(adc_distances(q, db2, p), adc_distances(q, db, p))
 
+    def test_custom_ids_rejected(self, tmp_path):
+        # DRQC v1 has no field for ids: a reload would rank under ids 0..N-1
+        rng = np.random.default_rng(69)
+        model = make_model(rng)
+        x = rng.normal(size=(50, 6))
+        db = encode_database(x, model, ids=np.arange(50)[::-1] + 1000)
+        path = tmp_path / "c.drqc"
+        with pytest.raises(DomainError, match="ids"):
+            save_codes(db, path)
+        assert not path.exists()
+        save_codes(encode_database(x, model, ids=np.arange(50)), path)
+        assert np.array_equal(load_codes(path, model).codes, db.codes)
+
     def test_size_formula(self, tmp_path):
         rng = np.random.default_rng(63)
         for k, m, n in ((16, 4, 11), (256, 4, 7), (2048, 4, 5), (16, 3, 9)):
@@ -391,6 +404,20 @@ class TestCli:
                    "--queries", str(vec), "--query-labels", str(lab),
                    "--db-labels", str(bad), "--map-cutoff", "10"])
         assert rc == 2
+
+    def test_eval_query_label_count_mismatch(self, tmp_path, capsys):
+        vec, lab = self._synth(tmp_path, n=100, d=8)
+        model_path, codes_path = tmp_path / "m.drqm", tmp_path / "c.drqc"
+        save_model(make_model(np.random.default_rng(70), d=8, m=2), model_path)
+        assert main(["encode", "--model", str(model_path), "--input", str(vec),
+                     "--out", str(codes_path)]) == 0
+        short = tmp_path / "short.labels"
+        write_labels([frozenset((0,))] * 99, short)
+        rc = main(["eval", "--model", str(model_path), "--codes", str(codes_path),
+                   "--queries", str(vec), "--query-labels", str(short),
+                   "--db-labels", str(lab), "--map-cutoff", "10"])
+        assert rc == 2
+        assert "label file row count does not match vectors" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cutoff", ["0", "-3"])
     def test_eval_cutoff_below_one_exit_code(self, tmp_path, capsys, cutoff):
