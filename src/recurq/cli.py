@@ -15,7 +15,7 @@ import sys
 
 from . import io as rio
 from .core import DomainError, FeatureMatrix, _hard_errors
-from .index import _prefix_reconstructions, encode_database, evaluate, search
+from .index import _QUERY_BLOCK, _prefix_reconstructions, encode_database, evaluate, search_batch
 from .synth import synth_dataset
 from .train import ALL_FLAGS, HEAD_FLAGS, TrainConfig, train
 
@@ -123,10 +123,11 @@ def cmd_search(args) -> int:
     db = rio.load_codes(args.codes, model)
     queries = rio.read_fvecs(args.queries)
     with _output(args.out) as out:
-        for qi, q in enumerate(queries):
-            ids, dists = search(q, db, args.topk, args.prefix_m)
-            for rank, (i, dist) in enumerate(zip(ids, dists), start=1):
-                print(f"query={qi} rank={rank} id={i} dist={dist:.9g}", file=out)
+        for start in range(0, len(queries), _QUERY_BLOCK):
+            block_ids, block_dists = search_batch(queries[start : start + _QUERY_BLOCK], db, args.topk, args.prefix_m)
+            for qi, ids, dists in zip(range(start, len(queries)), block_ids, block_dists):
+                for rank, (i, dist) in enumerate(zip(ids, dists), start=1):
+                    print(f"query={qi} rank={rank} id={i} dist={dist:.9g}", file=out)
     return 0
 
 

@@ -7,6 +7,8 @@ computed in float64; argmin ties break toward the smallest index.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import NamedTuple
@@ -234,8 +236,47 @@ def _row_blocks(n: int, width: int) -> list[slice]:
     return [slice(start, start + rows) for start in range(0, n, rows)]
 
 
+class LabelSets(Sequence):
+    """Immutable per-row label sets held flat: ``labels[j]`` belongs to row
+    ``owner[j]``, each row's labels in input order. Items are frozensets built
+    on access, and the sequence compares equal to the list of those frozensets."""
+
+    __slots__ = ("labels", "owner", "_bounds")
+
+    def __init__(self, labels, sizes):
+        sizes = np.asarray(sizes, dtype=np.int64)
+        self.labels = np.asarray(labels, dtype=np.int64)
+        self.owner = np.repeat(np.arange(sizes.size), sizes)
+        self._bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
+        if self._bounds[-1] != self.labels.size:
+            raise DomainError("label sizes must sum to the label count")
+        self.labels.setflags(write=False)
+        self.owner.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self._bounds) - 1
+
+    def __getitem__(self, i) -> frozenset[int]:
+        row = range(len(self))[operator.index(i)]
+        return frozenset(self.labels[self._bounds[row] : self._bounds[row + 1]].tolist())
+
+    def __iter__(self):
+        words, bounds = self.labels.tolist(), self._bounds
+        return (frozenset(words[start:stop]) for start, stop in zip(bounds, bounds[1:]))
+
+    def __eq__(self, other):
+        if isinstance(other, (list, LabelSets)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+
 def _label_rows(label_sets) -> tuple[np.ndarray, np.ndarray]:
-    """Flattened per-row label sets ``(labels, owner)``: ``labels[j]`` belongs to row ``owner[j]``."""
+    """Flattened per-row label sets ``(labels, owner)``: ``labels[j]`` belongs to row
+    ``owner[j]``. A :class:`LabelSets` hands over the arrays it already holds."""
+    if isinstance(label_sets, LabelSets):
+        return label_sets.labels, label_sets.owner
     sizes = np.fromiter(map(len, label_sets), dtype=np.int64, count=len(label_sets))
     labels = np.fromiter(chain.from_iterable(label_sets), dtype=np.int64, count=int(sizes.sum()))
     return labels, np.repeat(np.arange(len(label_sets)), sizes)
@@ -377,6 +418,8 @@ def unpack_rows(packed: np.ndarray, m: int, k: int) -> np.ndarray:
     """Inverse of :func:`pack_rows`: (N, packed_size(m, k)) bytes to (N, m) int64."""
     bits = _bits_for_k(k)
     width = (bits + 7) // 8
+    if bits % 8 == 0:  # every sub-index fills whole bytes: the packed row is its big-endian words
+        return np.array(np.ascontiguousarray(packed).view(f">u{width}"), dtype=np.int64, order="F")
     code_bits = np.unpackbits(packed, axis=1, count=m * bits).reshape(len(packed), m, bits)
     words = np.packbits(code_bits, axis=2).view(f">u{width}")[:, :, 0]
     return words.astype(np.int64) >> (8 * width - bits)

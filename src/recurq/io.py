@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DomainError, RqModel, pack_rows, packed_size, unpack_rows
+from .core import DomainError, LabelSets, RqModel, pack_rows, packed_size, unpack_rows
 from .index import EncodedDatabase, database_from_codes
 
 MODEL_MAGIC = b"DRQM"
@@ -153,20 +153,23 @@ def write_labels(label_sets, path) -> None:
     _atomic_write(path, bytes(out))
 
 
-def read_labels(path) -> list[frozenset[int]]:
+def read_labels(path) -> LabelSets:
+    """Per-row label sets of a label file. The flattened label rows are built
+    once here, so :func:`recurq.index.evaluate` does not rebuild them per call."""
     raw = Path(path).read_bytes()
     if len(raw) % 4:
         raise FileFormatError(f"{path}: truncated label record")
     words = np.frombuffer(raw, dtype="<i4")
     if words.size and words.min() < 0:
         raise FileFormatError(f"{path}: negative label count or id")
-    words = words.tolist()
-    sets = []
+    values = words.tolist()
+    starts = []  # offset of each record's count word
     off = 0
-    while off < len(words):
-        end = off + 1 + words[off]
-        if end > len(words):
-            raise FileFormatError(f"{path}: label record runs past the end of the file")
-        sets.append(frozenset(words[off + 1 : end]))
-        off = end
-    return sets
+    while off < len(values):
+        starts.append(off)
+        off += 1 + values[off]
+    if off > len(values):
+        raise FileFormatError(f"{path}: label record runs past the end of the file")
+    is_label = np.ones(words.size, dtype=bool)
+    is_label[starts] = False
+    return LabelSets(words[is_label], words[starts])

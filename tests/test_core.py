@@ -342,6 +342,20 @@ def test_pack_rows_matches_reference(bits, m, n, data):
     assert np.array_equal(unpack_rows(packed, m, k), codes)
 
 
+@pytest.mark.parametrize("k", [256, 1 << 16])
+@pytest.mark.parametrize("n", [0, 1, 700])
+def test_byte_aligned_unpack_rows(k, n):
+    # whole-byte sub-indices are read as big-endian words, straight into column-major int64
+    rng = np.random.default_rng(n)
+    codes = rng.integers(0, k, size=(n, 5))
+    codes[:1], codes[1:2] = 0, k - 1
+    packed = pack_rows(codes, k)
+    assert packed.tobytes() == reference_pack_rows(codes, k)
+    back = unpack_rows(packed, 5, k)
+    assert back.dtype == np.int64 and back.flags.f_contiguous
+    assert np.array_equal(back, codes)
+
+
 def test_pack_rows_rejects_out_of_range():
     for bad in (np.array([[0, 16]]), np.array([[-1, 0]])):
         with pytest.raises(DomainError):

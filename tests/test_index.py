@@ -1,3 +1,6 @@
+from itertools import chain
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,10 +13,14 @@ from recurq import (
     build_adc_table,
     encode_database,
     evaluate,
+    read_labels,
     search,
+    search_batch,
+    write_labels,
 )
-from recurq.core import _row_blocks
-from recurq.index import adc_distances, average_precision, _prefix_reconstructions, database_from_codes
+from recurq import core
+from recurq.core import LabelSets, _row_blocks
+from recurq.index import _QUERY_BLOCK, adc_distances, average_precision, _prefix_reconstructions, database_from_codes
 from recurq.synth import synth_dataset
 from recurq.train import _forward
 
@@ -23,6 +30,16 @@ LAST_BIT_W = 0.6095693498571635
 
 def random_model(rng, k=16, d=8, m=3, gamma=5.0):
     return RqModel(rng.normal(size=(k, d)), float(rng.uniform(0.3, 0.8)), gamma, m)
+
+
+def reference_adc_distances(query, db, m=None):
+    """One query, one level at a time over all N rows: the sums every blocked scan must reproduce bit for bit."""
+    m = db.model.levels if m is None else m
+    table = build_adc_table(query, db.model)
+    cross = np.zeros(db.n)
+    for i in range(m):
+        cross += table.dot_table[i, db.codes[:, i]]
+    return table.query_sq_norm - 2.0 * cross + db.prefix_sq_norms[:, m - 1]
 
 
 def brute_force_order(query, db, m=None):
@@ -247,6 +264,67 @@ class TestSearch:
                     assert np.array_equal(dists, full_dists[:k])
 
 
+def dyadic_tie_index(rng, n, m=3):
+    """Dyadic codebook, scale, items and queries: every distance is exact, so
+    equal codes and distinct codes with equal norms tie exactly. Ids are permuted."""
+    cb = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    model = RqModel(cb, 0.5, 5.0, m)
+    db = encode_database(rng.integers(-4, 5, size=(n, 2)) * 0.25, model, ids=rng.permutation(n))
+    return db, rng.integers(-4, 5, size=(7, 2)) * 0.25
+
+
+def assert_batch_matches_per_query(queries, db, top_k, prefix_m):
+    ids, dists = search_batch(queries, db, top_k, prefix_m)
+    k = min(top_k, db.n)
+    assert ids.shape == dists.shape == (len(queries), k)
+    for q, row_ids, row_dists in zip(queries, ids, dists):
+        want = reference_adc_distances(q, db, prefix_m)
+        assert np.array_equal(adc_distances(q, db, prefix_m), want)
+        order = np.lexsort((db.ids, want))[:k]
+        assert np.array_equal(row_ids, db.ids[order])
+        assert np.array_equal(row_dists, want[order])
+        one_ids, one_dists = search(q, db, top_k, prefix_m)
+        assert np.array_equal(row_ids, one_ids) and np.array_equal(row_dists, one_dists)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nq=st.sampled_from([1, 2, 7]), n=st.integers(1, 120), top_k=st.integers(1, 130),
+       cells=st.sampled_from([8, 32, 1 << 16]), seed=st.integers(0, 2**32 - 1))
+def test_search_batch_matches_per_query(nq, n, top_k, cells, seed):
+    # a small block budget makes a short database span several (rows, Q) row blocks
+    rng = np.random.default_rng(seed)
+    db, queries = dyadic_tie_index(rng, n)
+    with mock.patch.object(core, "_BLOCK_CELLS", cells):
+        for prefix_m in (1, 2, 3):
+            assert_batch_matches_per_query(queries[:nq], db, top_k, prefix_m)
+
+
+@pytest.mark.parametrize("nq", [1, 2, 7])
+def test_search_batch_across_row_blocks(nq):
+    n = 70_000  # above one 2^16-row block, the longest (at Q=1)
+    assert len(_row_blocks(n, nq)) > 1
+    db, queries = dyadic_tie_index(np.random.default_rng(nq), n)
+    for prefix_m in (1, 2, 3):
+        assert_batch_matches_per_query(queries[:nq], db, 50, prefix_m)
+
+
+def test_search_batch_contract():
+    rng = np.random.default_rng(71)
+    model = random_model(rng, m=2)
+    db = encode_database(rng.normal(size=(40, 8)), model)
+    nq = 2 * _QUERY_BLOCK + 3  # two full query blocks and a short one
+    queries = rng.normal(size=(nq, 8))
+    assert_batch_matches_per_query(queries, db, 5, None)
+    assert search_batch(np.empty((0, 8)), db, 5)[0].shape == (0, 5)
+    empty = encode_database(np.empty((0, 8)), model)
+    assert search_batch(queries, empty, 5)[0].shape == (nq, 0)
+    for bad in ({"top_k": 0}, {"top_k": 3, "prefix_m": 3}):
+        with pytest.raises(DomainError):
+            search_batch(queries, db, **bad)
+    with pytest.raises(DomainError):
+        search_batch(queries[:, :4], db, 3)
+
+
 class TestEvaluate:
     def test_hand_computed_ap(self):
         relevant = np.array([1.0, 0.0, 1.0])
@@ -334,7 +412,7 @@ def reference_evaluate(queries, db, db_labels, r_cutoff, precision_at, prefix_m)
     q_sets, n = queries.label_sets(), db.n
     aps, prec, rec = [], np.zeros(n), np.zeros(n)
     for qi in range(queries.n):
-        order = np.lexsort((db.ids, adc_distances(queries.data[qi], db, prefix_m)))
+        order = np.lexsort((db.ids, reference_adc_distances(queries.data[qi], db, prefix_m)))
         rel = np.array([1.0 if db_labels[j] & q_sets[qi] else 0.0 for j in order])
         total = int(rel.sum())
         aps.append(average_precision(rel, total, r_cutoff))
@@ -364,11 +442,48 @@ def test_evaluate_matches_full_sort(k, m, d, n, nq, zero_query, data):
     if zero_query:
         q[0] = 0.0
     queries = FeatureMatrix(q, multi_labels=data.draw(st.lists(label_sets, min_size=nq, max_size=nq)))
+    flat = LabelSets(list(chain.from_iterable(db_labels)), [len(s) for s in db_labels])
     for prefix_m in range(1, m + 1):
         for r_cutoff in (1, 10, n + 1):
             report = evaluate(queries, db, db_labels, r_cutoff, (1, 5, n + 3), prefix_m)
             want = reference_evaluate(queries, db, db_labels, r_cutoff, (1, 5, n + 3), prefix_m)
             assert (report.map_at_r, report.pr_curve, report.precision_at_r) == want
+            assert_same_report(evaluate(queries, db, flat, r_cutoff, (1, 5, n + 3), prefix_m), report)
+
+
+def assert_same_report(a, b):
+    assert a.map_at_r == b.map_at_r
+    assert len(a.relevant_ranks) == len(b.relevant_ranks)
+    assert all(np.array_equal(x, y) for x, y in zip(a.relevant_ranks, b.relevant_ranks))
+    assert a.pr_curve == b.pr_curve
+    assert a.precision_at_r == b.precision_at_r
+
+
+def test_evaluate_on_read_labels_equals_plain_list(tmp_path):
+    # more queries than one scan block, multi-label rows and an empty row
+    rng = np.random.default_rng(72)
+    model = random_model(rng, k=16, d=6, m=3)
+    db = encode_database(rng.normal(size=(500, 6)), model, ids=rng.permutation(500))
+    plain = [frozenset(rng.choice(9, size=rng.integers(0, 3), replace=False).tolist()) for _ in range(500)]
+    write_labels(plain, tmp_path / "db.labels")
+    loaded = read_labels(tmp_path / "db.labels")
+    assert isinstance(loaded, LabelSets) and loaded == plain
+    queries = FeatureMatrix(rng.normal(size=(37, 6)), labels=rng.integers(0, 9, size=37))
+    for prefix_m in (None, 1, 2):
+        want = evaluate(queries, db, plain, 25, (1, 10, 600), prefix_m)
+        assert_same_report(evaluate(queries, db, loaded, 25, (1, 10, 600), prefix_m), want)
+
+
+def test_label_sets_are_immutable():
+    sets = LabelSets([3, 1, 4], [2, 0, 1])
+    assert list(sets) == [frozenset((1, 3)), frozenset(), frozenset((4,))]
+    assert sets[-1] == frozenset((4,))
+    with pytest.raises(TypeError):
+        sets[0] = frozenset((7,))
+    with pytest.raises(ValueError):
+        sets.labels[0] = 7
+    with pytest.raises(IndexError):
+        sets[3]
 
 
 class TestEvaluateContract:

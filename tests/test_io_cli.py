@@ -28,7 +28,7 @@ from recurq import (
 )
 import recurq.cli
 from recurq.cli import main
-from recurq.index import adc_distances
+from recurq.index import _QUERY_BLOCK, adc_distances
 from recurq.io import CODE_MAGIC, MODEL_MAGIC
 
 
@@ -318,6 +318,27 @@ class TestCli:
         assert eval_text.startswith("map@50=")
         assert float(eval_text.splitlines()[0].split("=")[1]) > 0.8
         assert (tmp_path / "pr.txt").read_text().strip()
+
+    def test_search_output_equals_per_query_search(self, tmp_path):
+        # dyadic codebook, items and queries tie exactly; more queries than one scan block
+        cb = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        model = RqModel(cb, 0.5, 5.0, 3)
+        rng = np.random.default_rng(73)
+        db = encode_database(rng.integers(-4, 5, size=(300, 2)) * 0.25, model)
+        queries = rng.integers(-4, 5, size=(2 * _QUERY_BLOCK + 5, 2)) * 0.25
+        paths = {name: tmp_path / name for name in ("m.drqm", "c.drqc", "q.fvecs", "out.txt")}
+        save_model(model, paths["m.drqm"])
+        save_codes(db, paths["c.drqc"])
+        write_fvecs(queries, paths["q.fvecs"])
+        for prefix in ([], ["--prefix-m", "2"]):
+            rc = main(["search", "--model", str(paths["m.drqm"]), "--codes", str(paths["c.drqc"]),
+                       "--queries", str(paths["q.fvecs"]), "--topk", "40", "--out", str(paths["out.txt"]), *prefix])
+            assert rc == 0
+            prefix_m = int(prefix[1]) if prefix else None
+            want = "".join(f"query={qi} rank={rank} id={i} dist={dist:.9g}\n"
+                           for qi, q in enumerate(queries)
+                           for rank, (i, dist) in enumerate(zip(*search(q, db, 40, prefix_m)), start=1))
+            assert paths["out.txt"].read_text() == want
 
     def test_code_length_flags(self, tmp_path, capsys):
         vec, _ = self._synth(tmp_path, n=300)
