@@ -17,7 +17,7 @@ from . import io as rio
 from .core import DomainError, FeatureMatrix, _hard_errors
 from .index import _QUERY_BLOCK, _prefix_reconstructions, encode_database, evaluate, search_batch
 from .synth import synth_dataset
-from .train import ALL_FLAGS, HEAD_FLAGS, TrainConfig, train
+from .train import DISTORTION_FLAGS, TrainConfig, train
 
 try:  # glibc only; elsewhere freed memory is left to the allocator
     _malloc_trim = ctypes.CDLL(None).malloc_trim
@@ -28,8 +28,6 @@ FLAG_NAMES = {
     "hard": "hard_distortion",
     "soft": "soft_distortion",
     "joint": "joint_central",
-    "triplet": "triplet",
-    "margin": "adaptive_margin",
 }
 
 
@@ -41,7 +39,7 @@ def _parse_flags(csv: str) -> frozenset[str]:
             continue
         if name in FLAG_NAMES:
             flags.add(FLAG_NAMES[name])
-        elif name in ALL_FLAGS:
+        elif name in DISTORTION_FLAGS:
             flags.add(name)
         else:
             raise DomainError(f"unknown loss flag '{name}'")
@@ -71,9 +69,6 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     flags = _parse_flags(args.loss_flags)
-    if any(f in flags for f in HEAD_FLAGS):
-        raise DomainError("triplet/margin loss flags train a stage-1 feature head that model files do not store, "
-                          "so the saved model could not encode its own input; run stage 1 through the library")
     features = FeatureMatrix(rio.read_fvecs(args.input))
     config = TrainConfig(
         k=args.k,

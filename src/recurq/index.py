@@ -177,9 +177,10 @@ def search(query, db: EncodedDatabase, top_k: int, prefix_m: int | None = None):
     the one-query case of :func:`search_batch`."""
     if top_k < 1:
         raise DomainError("top_k must be >= 1")
+    dists = adc_distances(query, db, prefix_m)  # checks prefix_m and the query width, on an empty database too
     if db.n == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    return _top_k(adc_distances(query, db, prefix_m), db.ids, min(top_k, db.n))
+        return np.empty(0, dtype=np.int64), dists
+    return _top_k(dists, db.ids, min(top_k, db.n))
 
 
 def search_batch(queries, db: EncodedDatabase, top_k: int, prefix_m: int | None = None):
@@ -190,10 +191,10 @@ def search_batch(queries, db: EncodedDatabase, top_k: int, prefix_m: int | None 
     q = _as_matrix(queries, "queries")
     k = min(top_k, db.n)
     ids, dists = np.empty((len(q), k), dtype=np.int64), np.empty((len(q), k))
-    if k == 0:
-        return ids, dists
+    # an empty database is scanned too: the scan checks prefix_m and the query width
     for j, row in enumerate(_distance_rows(q, db, _levels(db.model, prefix_m))):
-        ids[j], dists[j] = _top_k(row, db.ids, k)
+        if k:
+            ids[j], dists[j] = _top_k(row, db.ids, k)
     return ids, dists
 
 

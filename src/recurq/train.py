@@ -1,6 +1,7 @@
-"""Training: distortion losses and their analytic gradients, metric-learning
-losses for the optional feature-refinement head, k-means initialization, Adam,
-and the three-stage training schedule with ablation flags.
+"""Training: distortion losses and their analytic gradients, k-means
+initialization, Adam, and the two-stage codebook schedule (one level, then all
+M levels) with distortion ablation flags. The triplet and adaptive-margin
+losses are kept as standalone functions; training does not use them.
 
 Gradient conventions: hard argmin selections and the residual inputs they
 produce are treated as stop-gradient constants. Gradients reach the codebook
@@ -17,17 +18,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DomainError, FeatureMatrix, RqModel, _as_matrix, _hard_errors, _label_rows, _level_books, _recurrence, _row_blocks, _sq_distances
+from .core import DomainError, FeatureMatrix, RqModel, _as_matrix, _hard_errors, _level_books, _recurrence, _row_blocks, _sq_distances
 
 _EPS = 1e-30
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPSILON = 0.9, 0.999, 1e-8
-_TRIPLET_MARGIN = 1.0
 
 # distortion flag -> the DistortionReport field it logs and adds to the monitored loss, in summation order
 _REPORT_FIELDS = {"hard_distortion": "e_hard", "soft_distortion": "e_soft", "joint_central": "e_joint"}
 DISTORTION_FLAGS = tuple(_REPORT_FIELDS)
-HEAD_FLAGS = ("triplet", "adaptive_margin")
-ALL_FLAGS = DISTORTION_FLAGS + HEAD_FLAGS
 
 DEFAULT_FLAGS = frozenset(DISTORTION_FLAGS)
 
@@ -36,9 +34,11 @@ DEFAULT_FLAGS = frozenset(DISTORTION_FLAGS)
 class TrainConfig:
     """Training hyperparameters.
 
-    Stage 1, the metric-learning feature head, runs when ``loss_flags`` holds a
-    head flag (``triplet``, ``adaptive_margin``); it needs labelled features.
-    Its head has widths (D // 2, embedding dim or 64), and its triplet margin is 1.
+    ``loss_flags`` is a subset of ``DISTORTION_FLAGS``; every other flag is
+    rejected. Stage 2 trains the codebook at one level for ``epochs_stage2``
+    epochs, stage 3 at all ``m`` levels for ``epochs_stage3``. The stages keep
+    the numbers 2 and 3 in field names, log records and errors because
+    renumbering them would change every training log.
     Adam uses beta1 0.9, beta2 0.999 and epsilon 1e-8.
     The scale w is kept at or above 1e-3 after every step but has no upper
     bound: w > 1, a codebook that grows from level to level, is a valid model
@@ -51,7 +51,6 @@ class TrainConfig:
     gamma: float = 20.0
     lr: float = 0.001
     batch_size: int = 256
-    epochs_stage1: int = 20
     epochs_stage2: int = 20
     epochs_stage3: int = 50
     loss_flags: frozenset[str] = DEFAULT_FLAGS
@@ -64,7 +63,7 @@ class TrainConfig:
             raise DomainError("lr must be positive")
         if self.batch_size < 1:
             raise DomainError("batch_size must be >= 1")
-        unknown = set(self.loss_flags) - set(ALL_FLAGS)
+        unknown = set(self.loss_flags) - set(DISTORTION_FLAGS)
         if unknown:
             raise DomainError(f"unknown loss flags: {sorted(unknown)}")
         if self.init not in ("random", "kmeans"):
@@ -86,13 +85,6 @@ class LabelEmbeddings:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
-
-
-@dataclass
-class TripletBatch:
-    anchors: np.ndarray
-    positives: np.ndarray
-    negatives: np.ndarray
 
 
 @dataclass
@@ -237,7 +229,8 @@ def grad_hard_distortion(batch, model: RqModel, fw: _Forward | None = None):
 
 def triplet_loss(anchor, pos, neg, margin: float):
     """Hinge triplet loss with its gradients; gradients are zero when the
-    hinge is inactive."""
+    hinge is inactive. A standalone metric-learning loss: :func:`train` does
+    not use it."""
     a = np.asarray(anchor, dtype=np.float64)
     p = np.asarray(pos, dtype=np.float64)
     n = np.asarray(neg, dtype=np.float64)
@@ -259,7 +252,8 @@ def triplet_loss(anchor, pos, neg, margin: float):
 def adaptive_margin_loss(z, label_set, embeddings: LabelEmbeddings):
     """Hinge loss on cosine similarities to fixed label embeddings, with the
     margin for a (positive, negative) label pair set by embedding
-    dissimilarity. Returns the loss and its gradient w.r.t. z."""
+    dissimilarity. Returns the loss and its gradient w.r.t. z. A standalone
+    metric-learning loss: :func:`train` does not use it."""
     z = np.asarray(z, dtype=np.float64)
     nz = np.linalg.norm(z)
     if nz == 0:
@@ -379,119 +373,10 @@ def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig):
     return params, state
 
 
-def sample_triplets(label_sets, rng: np.random.Generator, anchors) -> TripletBatch:
-    """Draw one (positive, negative) pair per anchor; anchors with no valid
-    positive or negative are skipped. A positive is another row sharing a
-    label with the anchor, a negative a row sharing none; each is drawn
-    uniformly from its pool in ascending row order."""
-    n = len(label_sets)
-    labels, owner = _label_rows(label_sets)  # label -> rows pools, built once
-    order = np.argsort(labels, kind="stable")
-    keys, starts = np.unique(labels[order], return_index=True)
-    pools = dict(zip(keys.tolist(), np.split(owner[order], starts[1:])))
-    a_out, p_out, n_out = [], [], []
-    for a in anchors:
-        shares = np.zeros(n, dtype=bool)
-        for label in label_sets[a]:
-            shares[pools[label]] = True
-        neg_pool = np.flatnonzero(~shares)
-        shares[a] = False
-        pos_pool = np.flatnonzero(shares)
-        if not len(pos_pool) or not len(neg_pool):
-            continue
-        a_out.append(a)
-        p_out.append(pos_pool[rng.integers(len(pos_pool))])
-        n_out.append(neg_pool[rng.integers(len(neg_pool))])
-    return TripletBatch(
-        np.array(a_out, dtype=np.int64),
-        np.array(p_out, dtype=np.int64),
-        np.array(n_out, dtype=np.int64),
-    )
-
-
-class _Head:
-    """Two-layer linear refinement head; output is concat(h1, h2)."""
-
-    def __init__(self, d_in: int, widths: tuple[int, int], rng: np.random.Generator):
-        d1, d2 = widths
-        s1 = 1.0 / np.sqrt(d_in)
-        s2 = 1.0 / np.sqrt(d1)
-        self.params = {
-            "W1": rng.normal(0, s1, size=(d_in, d1)),
-            "b1": np.zeros(d1),
-            "W2": rng.normal(0, s2, size=(d1, d2)),
-            "b2": np.zeros(d2),
-        }
-
-    def forward(self, x: np.ndarray):
-        h1 = x @ self.params["W1"] + self.params["b1"]
-        h2 = h1 @ self.params["W2"] + self.params["b2"]
-        return h1, h2, np.concatenate([h1, h2], axis=1)
-
-    def backward(self, x, h1, dh1_direct, dh2):
-        dh1 = dh1_direct + dh2 @ self.params["W2"].T
-        return {
-            "W1": x.T @ dh1,
-            "b1": dh1.sum(axis=0),
-            "W2": h1.T @ dh2,
-            "b2": dh2.sum(axis=0),
-        }
-
-
-def _normalize_rows(x: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    return x / np.maximum(norms, _EPS)
-
-
-def _norm_backward(x: np.ndarray, d_hat: np.ndarray) -> np.ndarray:
-    # chain dL/d x_hat back through x_hat = x / ||x||
-    norms = np.maximum(np.linalg.norm(x, axis=1, keepdims=True), _EPS)
-    x_hat = x / norms
-    return (d_hat - np.einsum("nd,nd->n", d_hat, x_hat)[:, None] * x_hat) / norms
-
-
-def _head_losses(head, x, triplets, label_sets, embeddings, flags):
-    """Triplet + adaptive-margin losses on head outputs with parameter grads."""
-    rows = np.unique(np.concatenate([triplets.anchors, triplets.positives, triplets.negatives]))
-    pos_of = {int(r): i for i, r in enumerate(rows)}
-    xb = x[rows]
-    h1, h2, z = head.forward(xb)
-    dz = np.zeros_like(z)
-    dh2 = np.zeros_like(h2)
-    loss_t = loss_s = 0.0
-    count = max(len(triplets.anchors), 1)
-
-    if "triplet" in flags and len(triplets.anchors):
-        z_hat = _normalize_rows(z)
-        d_hat = np.zeros_like(z_hat)
-        for a, p, ng in zip(triplets.anchors, triplets.positives, triplets.negatives):
-            ia, ip, ing = pos_of[int(a)], pos_of[int(p)], pos_of[int(ng)]
-            val, (ga, gp, gn) = triplet_loss(z_hat[ia], z_hat[ip], z_hat[ing], _TRIPLET_MARGIN)
-            loss_t += val
-            d_hat[ia] += ga
-            d_hat[ip] += gp
-            d_hat[ing] += gn
-        loss_t /= count
-        dz += _norm_backward(z, d_hat / count)
-
-    if "adaptive_margin" in flags and embeddings is not None and len(triplets.anchors):
-        for a in triplets.anchors:
-            ia = pos_of[int(a)]
-            val, g = adaptive_margin_loss(h2[ia], label_sets[int(a)], embeddings)
-            loss_s += val
-            dh2[ia] += g
-        loss_s /= count
-        dh2 /= count
-
-    d1 = h1.shape[1]
-    grads = head.backward(xb, h1, dz[:, :d1], dz[:, d1:] + dh2)
-    return loss_t, loss_s, grads
-
-
-def train(features: FeatureMatrix, config: TrainConfig, embeddings: LabelEmbeddings | None = None):
-    """Three-stage schedule: optional metric-learning refinement of the
-    features, then codebook training at one level, then at the full level
-    count. Returns the trained model and a per-epoch log (list of dicts).
+def train(features: FeatureMatrix, config: TrainConfig):
+    """Codebook training at one level (stage 2), then at the full level count
+    (stage 3). Labels on ``features`` are ignored. Returns the trained model
+    and a per-epoch log (list of dicts).
 
     The learned scale w may end above 1 (see :class:`TrainConfig`). Raises
     DomainError naming the stage, the epoch and the value when a gradient, the
@@ -499,65 +384,18 @@ def train(features: FeatureMatrix, config: TrainConfig, embeddings: LabelEmbeddi
     """
     x = features.data
     rng = np.random.default_rng(np.uint64(config.seed))
-    flags = config.loss_flags
     log: list[dict] = []
-
-    head = None
-    label_sets = None
-    if any(f in flags for f in HEAD_FLAGS):
-        if features.labels is None and features.multi_labels is None:
-            raise DomainError("stage 1 requires labels")
-        if "adaptive_margin" in flags and embeddings is None:
-            raise DomainError("adaptive_margin loss requires label embeddings")
-        label_sets = features.label_sets()
-        widths = (max(x.shape[1] // 2, 1), embeddings.dim if embeddings is not None else 64)
-        head = _Head(x.shape[1], widths, rng)
-        _train_stage1(head, x, label_sets, embeddings, config, rng, log)
-
-    refined = head.forward(x)[2] if head is not None else x
 
     # codebook init at M=1
     init_seed = int(rng.integers(2 ** 32))
     if config.init == "kmeans":
-        codebook = kmeans_init(refined, config.k, seed=init_seed)
+        codebook = kmeans_init(x, config.k, seed=init_seed)
     else:
-        codebook = np.random.default_rng(init_seed).normal(size=(config.k, refined.shape[1]))
+        codebook = np.random.default_rng(init_seed).normal(size=(config.k, x.shape[1]))
     model = RqModel(codebook, float(rng.uniform(0.1, 0.9)), config.gamma, 1)
-    model = _train_quant_stage(
-        2, model, x, head, label_sets, embeddings, config, rng, log, config.epochs_stage2
-    )
-    model = model.with_levels(config.m)
-    model = _train_quant_stage(
-        3, model, x, head, label_sets, embeddings, config, rng, log, config.epochs_stage3
-    )
+    model = _train_quant_stage(2, model, x, config, rng, log, config.epochs_stage2)
+    model = _train_quant_stage(3, model.with_levels(config.m), x, config, rng, log, config.epochs_stage3)
     return model, log
-
-
-def _train_stage1(head, x, label_sets, embeddings, config, rng, log):
-    state = AdamState()
-    n = x.shape[0]
-    flags = config.loss_flags
-    for epoch in range(config.epochs_stage1):
-        t0 = time.perf_counter()
-        order = rng.permutation(n)
-        tot_t = tot_s = 0.0
-        nb = 0
-        for start in range(0, n, config.batch_size):
-            anchors = order[start : start + config.batch_size]
-            triplets = sample_triplets(label_sets, rng, anchors)
-            if len(triplets.anchors) == 0:
-                continue
-            lt, ls, grads = _head_losses(head, x, triplets, label_sets, embeddings, flags)
-            adam_step(head.params, grads, state, config)
-            tot_t += lt
-            tot_s += ls
-            nb += 1
-        record = {"stage": 1, "epoch": epoch, "wall_time": time.perf_counter() - t0}
-        if "triplet" in flags:
-            record["l_triplet"] = tot_t / max(nb, 1)
-        if "adaptive_margin" in flags:
-            record["l_margin"] = tot_s / max(nb, 1)
-        log.append(record)
 
 
 def _enabled_distortion_grads(xb, model, flags):
@@ -600,14 +438,13 @@ def _require_finite(value, what: str, stage: int, epoch: int) -> None:
         raise DomainError(f"training stage {stage}, epoch {epoch}: {what} is not finite")
 
 
-def _train_quant_stage(stage, model, x, head, label_sets, embeddings, config, rng, log, epochs):
+def _train_quant_stage(stage, model, x, config, rng, log, epochs):
     flags = config.loss_flags
-    if not any(f in flags for f in DISTORTION_FLAGS):
+    if not flags:
         return model
     n = x.shape[0]
     params = {"C": model.codebook.copy(), "w": np.float64(model.scale)}
     state = AdamState()
-    head_state = AdamState() if head is not None else None
 
     def current_model(gamma=None):
         return RqModel(
@@ -617,10 +454,7 @@ def _train_quant_stage(stage, model, x, head, label_sets, embeddings, config, rn
             model.levels,
         )
 
-    def full_report(mdl):
-        return distortion_losses(head.forward(x)[2] if head is not None else x, mdl)
-
-    report = full_report(current_model())
+    report = distortion_losses(x, current_model())
     best_loss = _monitored_loss(report, flags)[1]
     _require_finite(best_loss, "monitored loss before the first step", stage, 0)
     best = (params["C"].copy(), float(params["w"]))
@@ -636,21 +470,15 @@ def _train_quant_stage(stage, model, x, head, label_sets, embeddings, config, rn
         for start in range(0, n, config.batch_size):
             batch_idx = order[start : start + config.batch_size]
             mdl = current_model(gamma)
-            feats = head.forward(x[batch_idx])[2] if head is not None else x[batch_idx]
-            d_c, d_w = _enabled_distortion_grads(feats, mdl, flags)
+            d_c, d_w = _enabled_distortion_grads(x[batch_idx], mdl, flags)
             _require_finite(d_c, "codebook gradient", stage, epoch)
             _require_finite(d_w, "scale gradient", stage, epoch)
             adam_step(params, {"C": d_c, "w": np.float64(d_w)}, state, config)
             params["w"] = np.float64(max(float(params["w"]), 1e-3))
             _require_finite(params["C"], "codebook", stage, epoch)
             _require_finite(params["w"], "scale w", stage, epoch)
-            if head is not None:
-                triplets = sample_triplets(label_sets, rng, batch_idx)
-                if len(triplets.anchors):
-                    _, _, hgrads = _head_losses(head, x, triplets, label_sets, embeddings, flags)
-                    adam_step(head.params, hgrads, head_state, config)
 
-        report = full_report(current_model(gamma))
+        report = distortion_losses(x, current_model(gamma))
         fields, monitored = _monitored_loss(report, flags)
         _require_finite(monitored, "monitored loss", stage, epoch)
         log.append({"stage": stage, "epoch": epoch, "wall_time": time.perf_counter() - t0,

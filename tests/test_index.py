@@ -79,6 +79,9 @@ class TestEncodeDatabase:
         assert db.n == 0
         ids, dists = search(rng.normal(size=8), db, top_k=5)
         assert len(ids) == 0
+        for query, prefix_m in ((rng.normal(size=8), model.levels + 1), (rng.normal(size=5), None)):
+            with pytest.raises(DomainError):
+                search(query, db, top_k=5, prefix_m=prefix_m)
 
     def test_norms_match_reconstructions(self):
         rng = np.random.default_rng(43)
@@ -318,11 +321,12 @@ def test_search_batch_contract():
     assert search_batch(np.empty((0, 8)), db, 5)[0].shape == (0, 5)
     empty = encode_database(np.empty((0, 8)), model)
     assert search_batch(queries, empty, 5)[0].shape == (nq, 0)
-    for bad in ({"top_k": 0}, {"top_k": 3, "prefix_m": 3}):
+    for target in (db, empty):  # an empty database checks its inputs too
+        for bad in ({"top_k": 0}, {"top_k": 3, "prefix_m": 3}):
+            with pytest.raises(DomainError):
+                search_batch(queries, target, **bad)
         with pytest.raises(DomainError):
-            search_batch(queries, db, **bad)
-    with pytest.raises(DomainError):
-        search_batch(queries[:, :4], db, 3)
+            search_batch(queries[:, :4], target, 3)
 
 
 class TestEvaluate:

@@ -24,7 +24,7 @@ from recurq import (
     triplet_loss,
 )
 from recurq.synth import synth_dataset
-from recurq.train import ALL_FLAGS, AdamState, _forward, _row_blocks, hard_distortion_value, sample_triplets
+from recurq.train import AdamState, _forward, _row_blocks, hard_distortion_value
 
 FD_STEP = 1e-6
 
@@ -438,32 +438,22 @@ class TestTrain:
         assert model.gamma == config.gamma
         assert any(r["stage"] == 3 for r in log)
 
-    def test_stage1_requires_labels(self):
-        fm = FeatureMatrix(np.random.default_rng(0).normal(size=(20, 4)))
-        config = TrainConfig(k=4, m=1, loss_flags=frozenset(ALL_FLAGS))
-        with pytest.raises(DomainError):
-            train(fm, config)
+    @pytest.mark.parametrize("flag", ["triplet", "adaptive_margin", "no_such_loss"])
+    def test_unknown_loss_flags_rejected(self, flag):
+        with pytest.raises(DomainError, match="unknown loss flags"):
+            TrainConfig(k=4, m=1, loss_flags=frozenset({"hard_distortion", flag}))
 
-    def test_stage1_pipeline_runs(self):
-        fm = synth_dataset(n=120, d=8, clusters=4, spread=0.2, seed=6)
-        rng = np.random.default_rng(7)
-        emb = LabelEmbeddings(rng.normal(size=(4, 6)))
-        config = TrainConfig(
-            k=8,
-            m=2,
-            loss_flags=frozenset(ALL_FLAGS),
-            epochs_stage1=2,
-            epochs_stage2=2,
-            epochs_stage3=2,
-            batch_size=64,
-            seed=8,
-        )
-        model, log = train(fm, config, emb)
-        stages = {r["stage"] for r in log}
-        assert stages == {1, 2, 3}
-        assert model.levels == 2
-        # head output dim: D/2 + embedding dim
-        assert model.dim == 8 // 2 + 6
+    def test_labels_do_not_change_training(self):
+        fm = synth_dataset(n=150, d=8, clusters=4, spread=0.2, seed=6)
+        config = TrainConfig(k=8, m=2, epochs_stage2=2, epochs_stage3=2, batch_size=64, seed=8)
+        (model, log), *labelled = [
+            train(FeatureMatrix(fm.data, **labels), config)
+            for labels in ({}, {"labels": fm.labels}, {"multi_labels": fm.label_sets()})
+        ]
+        for other, other_log in labelled:
+            assert np.array_equal(other.codebook, model.codebook)
+            assert other.scale == model.scale
+            assert [{**r, "wall_time": 0} for r in other_log] == [{**r, "wall_time": 0} for r in log]
 
 
 def kmeans_reference(features, k, iters=25, seed=0):
@@ -605,41 +595,6 @@ class TestStreamedReport:
             tracemalloc.stop()
         # the whole-batch report held 2 * M (N, K) float64 arrays: 6144 more rows cost 100 MB
         assert peaks[8192] - peaks[2048] < (8192 - 2048) * 256 * 8 / 4
-
-
-def sample_triplets_reference(label_sets, rng, anchors):
-    """Per-anchor scan of every row for the positive and negative pools."""
-    n = len(label_sets)
-    a_out, p_out, n_out = [], [], []
-    for a in anchors:
-        la = label_sets[a]
-        pos_pool = [i for i in range(n) if i != a and label_sets[i] & la]
-        neg_pool = [i for i in range(n) if not (label_sets[i] & la)]
-        if not pos_pool or not neg_pool:
-            continue
-        a_out.append(a)
-        p_out.append(pos_pool[rng.integers(len(pos_pool))])
-        n_out.append(neg_pool[rng.integers(len(neg_pool))])
-    return a_out, p_out, n_out
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    label_sets=st.lists(st.frozensets(st.integers(0, 4), max_size=3), min_size=1, max_size=30),
-    data=st.data(),
-    seed=st.integers(0, 2 ** 32 - 1),
-)
-def test_sample_triplets_matches_row_scan(label_sets, data, seed):
-    anchors = np.array(
-        data.draw(st.lists(st.integers(0, len(label_sets) - 1), max_size=20)), dtype=np.int64
-    )
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    batch = sample_triplets(label_sets, rng, anchors)
-    expected = sample_triplets_reference(label_sets, ref_rng, anchors)
-    for got, want in zip((batch.anchors, batch.positives, batch.negatives), expected):
-        assert got.dtype == np.int64
-        assert got.tolist() == want
-    assert rng.integers(2 ** 62) == ref_rng.integers(2 ** 62)  # same number of draws
 
 
 class TestNonFiniteGuard:
