@@ -453,6 +453,14 @@ class TestCli:
         assert rc == 2
         assert "map@" not in capsys.readouterr().out
 
+    def test_stage1_flags_without_labels(self, tmp_path):
+        vec, _ = self._synth(tmp_path, n=100)
+        rc = main(["train", "--input", str(vec), "--k", "8", "--m", "1",
+                   "--loss-flags", "hard,soft,joint,triplet",
+                   "--out", str(tmp_path / "m.drqm")])
+        assert rc == 2
+        assert not (tmp_path / "m.drqm").exists()
+
     @pytest.mark.parametrize("flags", ["hard,soft,joint,triplet", "hard,margin", "hard,adaptive_margin"])
     def test_head_flags_rejected_with_reason(self, tmp_path, capsys, flags):
         vec, _ = self._synth(tmp_path, n=100)
