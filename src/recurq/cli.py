@@ -135,7 +135,10 @@ def cmd_eval(args) -> int:
         raise DomainError("label file row count does not match vectors")
     queries = FeatureMatrix(data, multi_labels=query_labels)
     db_labels = rio.read_labels(args.db_labels)
-    precision_at = tuple(int(v) for v in args.precision_at.split(",") if v.strip()) if args.precision_at else ()
+    try:
+        precision_at = tuple(int(v) for v in args.precision_at.split(",") if v.strip()) if args.precision_at else ()
+    except ValueError:
+        raise DomainError(f"--precision-at takes comma-separated integers, got '{args.precision_at}'") from None
     report = evaluate(queries, db, db_labels, args.map_cutoff, precision_at, args.prefix_m)
     with _output(args.out) as out:
         print(f"map@{args.map_cutoff}={report.map_at_r:.6f}", file=out)

@@ -63,7 +63,7 @@ class EvalReport:
     map_at_r: float
     relevant_ranks: list[np.ndarray]  # per query: sorted 0-based ranks of its relevant items
     n: int  # items ranked per query
-    precision_at: tuple[int, ...] = ()
+    precision_at: tuple[int, ...] = ()  # ranks >= 1 at which precision_at_r reads the curve
 
     @cached_property
     def _mean_curve(self) -> tuple[np.ndarray, np.ndarray]:
@@ -86,7 +86,7 @@ class EvalReport:
 
     @cached_property
     def precision_at_r(self) -> list[tuple[int, float]]:
-        return [(int(r), float(self._mean_curve[1][min(r, self.n) - 1])) for r in self.precision_at if r >= 1]
+        return [(int(r), float(self._mean_curve[1][min(r, self.n) - 1])) for r in self.precision_at]
 
 
 def _prefix_reconstructions(codes: np.ndarray, model: RqModel, m: int) -> np.ndarray:
@@ -96,8 +96,15 @@ def _prefix_reconstructions(codes: np.ndarray, model: RqModel, m: int) -> np.nda
 
 
 def database_from_codes(codes: np.ndarray, model: RqModel, ids=None) -> EncodedDatabase:
-    """Database over (N, M) codes with the squared norms of every prefix length."""
+    """Database over (N, M) codes with the squared norms of every prefix length.
+    The codes must be a 2-D integer array with ``model.levels`` columns and
+    every sub-index in [0, K): a negative one would wrap to a codeword from
+    the end of the codebook and be ranked."""
     codes = np.asfortranarray(codes)
+    if codes.ndim != 2 or codes.shape[1] != model.levels or not np.issubdtype(codes.dtype, np.integer):
+        raise DomainError(f"codes must be a 2-D integer array with {model.levels} columns")
+    if codes.size and (codes.min() < 0 or codes.max() >= model.k):
+        raise DomainError("sub-index out of range for K")
     n = codes.shape[0]
     ids = np.arange(n, dtype=np.int64) if ids is None else np.asarray(ids, dtype=np.int64)
     if ids.shape != (n,):
@@ -212,9 +219,15 @@ def average_precision(relevant: np.ndarray, total_relevant: int, r_cutoff: int) 
 def _relevant_ranks(dists: np.ndarray, ids: np.ndarray, relevant: np.ndarray) -> np.ndarray:
     """Sorted 0-based ranks of the ``relevant`` rows in the order of ascending
     distance, ties by ascending id (the order of ``np.lexsort((ids, dists))``),
-    without sorting every row by (distance, id)."""
-    ordered = np.sort(dists)
+    without sorting every row by (distance, id).
+
+    Only the rows up to the farthest relevant distance are sorted: a row
+    farther than every relevant row ranks before none of them. When a relevant
+    row is the farthest row, that is a full sort plus one comparison pass."""
     rel_dists = dists[relevant]
+    if rel_dists.size == 0:
+        return np.empty(0, dtype=np.intp)
+    ordered = np.sort(dists[dists <= rel_dists.max()])
     ranks = np.searchsorted(ordered, rel_dists, "left")
     tied = np.searchsorted(ordered, rel_dists, "right") - ranks > 1
     if not tied.any():
@@ -246,6 +259,8 @@ def evaluate(
     query when they share at least one label."""
     if r_cutoff < 1:
         raise DomainError("r_cutoff must be >= 1")
+    if any(r < 1 for r in precision_at):
+        raise DomainError("precision_at ranks must be >= 1")
     if queries.labels is None and queries.multi_labels is None:
         raise DomainError("queries must carry labels for evaluation")
     if len(db_labels) != db.n:
@@ -256,8 +271,11 @@ def evaluate(
     head = min(r_cutoff, n)
     ap_values, ranks = [], []
     for q_set, dists in zip(queries.label_sets(), _distance_rows(queries.data, db, m)):
+        hit = np.zeros(labels.size, dtype=bool)
+        for label in q_set:  # a query has one to a few labels: an equality pass each beats np.isin
+            hit |= labels == label
         relevant = np.zeros(n, dtype=bool)
-        relevant[owner[np.isin(labels, np.fromiter(q_set, dtype=np.int64))]] = True
+        relevant[owner[hit]] = True
         q_ranks = _relevant_ranks(dists, db.ids, relevant)
         rel = np.zeros(head)  # AP reads only the first r_cutoff ranks
         rel[q_ranks[q_ranks < head]] = 1.0

@@ -129,6 +129,8 @@ def read_fvecs(path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if len(raw) == 0:
         return np.empty((0, 0), dtype=np.float64)
+    if len(raw) < 4:
+        raise FileFormatError(f"{path}: truncated dimension field")
     (d,) = struct.unpack("<i", raw[:4])
     if d <= 0:
         raise FileFormatError(f"{path}: invalid dimension {d}")

@@ -20,7 +20,7 @@ from recurq import (
 )
 from recurq import core
 from recurq.core import LabelSets, _row_blocks
-from recurq.index import _QUERY_BLOCK, adc_distances, average_precision, _prefix_reconstructions, database_from_codes
+from recurq.index import _QUERY_BLOCK, adc_distances, average_precision, _prefix_reconstructions, _relevant_ranks, database_from_codes
 from recurq.synth import synth_dataset
 from recurq.train import _forward
 
@@ -82,6 +82,19 @@ class TestEncodeDatabase:
         for query, prefix_m in ((rng.normal(size=8), model.levels + 1), (rng.normal(size=5), None)):
             with pytest.raises(DomainError):
                 search(query, db, top_k=5, prefix_m=prefix_m)
+
+    @pytest.mark.parametrize("codes", [
+        np.array([[0, 1, -1], [2, 3, 4]]),
+        np.array([[0, 1, 16], [2, 3, 4]]),
+        np.array([[0, 1], [2, 3]]),
+        np.array([[0, 1, 2, 3], [2, 3, 4, 5]]),
+        np.array([0, 1, 2]),
+        np.array([[0.0, 1.0, 2.0], [2.0, 3.0, 4.0]]),
+    ], ids=["negative", "at-k", "too-narrow", "too-wide", "1-d", "float"])
+    def test_bad_codes_rejected(self, codes):
+        model = random_model(np.random.default_rng(44), k=16, m=3)
+        with pytest.raises(DomainError):
+            database_from_codes(codes, model)
 
     def test_norms_match_reconstructions(self):
         rng = np.random.default_rng(43)
@@ -455,6 +468,34 @@ def test_evaluate_matches_full_sort(k, m, d, n, nq, zero_query, data):
             assert_same_report(evaluate(queries, db, flat, r_cutoff, (1, 5, n + 3), prefix_m), report)
 
 
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 60), data=st.data())
+def test_relevant_ranks_match_lexsort(n, data):
+    # dyadic distances from a few values, so rows tie at the farthest relevant distance
+    dists = np.array(data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))) * 0.25
+    ids = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
+    relevant = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    if data.draw(st.booleans()):  # a relevant row is the farthest row
+        relevant[np.argmax(dists)] = True
+    rank_of = np.empty(n, dtype=np.intp)
+    rank_of[np.lexsort((ids, dists))] = np.arange(n)
+    got = _relevant_ranks(dists, ids, relevant)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, np.sort(rank_of[relevant]))
+
+
+def test_relevant_ranks_window_edges():
+    # rows tied with the farthest relevant row on both sides of its id, rows beyond it, none relevant
+    dists = np.array([1.0, 2.0, 2.0, 2.0, 3.0, 0.5, 2.0])
+    ids = np.array([10, 5, 3, 8, 1, 0, 20])
+    relevant = np.zeros(7, dtype=bool)
+    assert _relevant_ranks(dists, ids, relevant).shape == (0,)
+    relevant[[0, 3]] = True  # the farthest relevant row (id 8) has tied rows with ids 3, 5 and 20
+    assert _relevant_ranks(dists, ids, relevant).tolist() == [1, 4]
+    relevant[4] = True  # the farthest row
+    assert _relevant_ranks(dists, ids, relevant).tolist() == [1, 4, 6]
+
+
 def assert_same_report(a, b):
     assert a.map_at_r == b.map_at_r
     assert len(a.relevant_ranks) == len(b.relevant_ranks)
@@ -503,6 +544,12 @@ class TestEvaluateContract:
         queries, db, db_labels = self._db()
         with pytest.raises(DomainError):
             evaluate(queries, db, db_labels, r_cutoff=r_cutoff)
+
+    @pytest.mark.parametrize("precision_at", [(0,), (5, -1)])
+    def test_precision_rank_below_one_rejected(self, precision_at):
+        queries, db, db_labels = self._db()
+        with pytest.raises(DomainError):
+            evaluate(queries, db, db_labels, r_cutoff=5, precision_at=precision_at)
 
     def test_curve_built_on_first_read(self):
         queries, db, db_labels = self._db()

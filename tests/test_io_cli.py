@@ -258,9 +258,11 @@ class TestVectorFiles:
 
     def test_bad_fvecs_rejected(self, tmp_path):
         path = tmp_path / "bad.fvecs"
-        path.write_bytes(b"\x03\x00\x00\x00\x00\x00")
-        with pytest.raises(FileFormatError):
-            read_fvecs(path)
+        # a partial record, and files too short to hold the dimension field
+        for raw in (b"\x03\x00\x00\x00\x00\x00", b"\x03", b"\x03\x00\x00"):
+            path.write_bytes(raw)
+            with pytest.raises(FileFormatError):
+                read_fvecs(path)
 
 
 class TestCli:
@@ -452,6 +454,22 @@ class TestCli:
                    "--db-labels", str(lab), "--map-cutoff", cutoff])
         assert rc == 2
         assert "map@" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("precision_at", ["5,x", "0", "5,-2"])
+    def test_eval_bad_precision_at_exit_code(self, tmp_path, capsys, precision_at):
+        vec, lab = self._synth(tmp_path, n=100, d=8)
+        model_path, codes_path = tmp_path / "m.drqm", tmp_path / "c.drqc"
+        save_model(make_model(np.random.default_rng(73), d=8, m=2), model_path)
+        assert main(["encode", "--model", str(model_path), "--input", str(vec),
+                     "--out", str(codes_path)]) == 0
+        capsys.readouterr()
+        rc = main(["eval", "--model", str(model_path), "--codes", str(codes_path),
+                   "--queries", str(vec), "--query-labels", str(lab),
+                   "--db-labels", str(lab), "--map-cutoff", "10", "--precision-at", precision_at])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "map@" not in captured.out
+        assert captured.err.startswith("error: ") and "precision" in captured.err
 
     def test_stage1_flags_without_labels(self, tmp_path):
         vec, _ = self._synth(tmp_path, n=100)
