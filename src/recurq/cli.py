@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import dataclasses
 import json
 import sys
 
@@ -17,7 +18,7 @@ from . import io as rio
 from .core import DomainError, FeatureMatrix, _hard_errors
 from .index import _QUERY_BLOCK, _prefix_reconstructions, encode_database, evaluate, search_batch
 from .synth import synth_dataset
-from .train import DISTORTION_FLAGS, TrainConfig, train
+from .train import TrainConfig, train
 
 try:  # glibc only; elsewhere freed memory is left to the allocator
     _malloc_trim = ctypes.CDLL(None).malloc_trim
@@ -32,20 +33,9 @@ FLAG_NAMES = {
 
 
 def _parse_flags(csv: str) -> frozenset[str]:
-    flags = set()
-    for name in csv.split(","):
-        name = name.strip()
-        if not name:
-            continue
-        if name in FLAG_NAMES:
-            flags.add(FLAG_NAMES[name])
-        elif name in DISTORTION_FLAGS:
-            flags.add(name)
-        else:
-            raise DomainError(f"unknown loss flag '{name}'")
-    if not flags:
-        raise DomainError("at least one loss flag is required")
-    return frozenset(flags)
+    """The comma-separated flag names with short names expanded; :class:`TrainConfig` checks them."""
+    names = (name.strip() for name in csv.split(","))
+    return frozenset(FLAG_NAMES.get(name, name) for name in names if name)
 
 
 @contextlib.contextmanager
@@ -68,20 +58,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    flags = _parse_flags(args.loss_flags)
+    fields = {f.name for f in dataclasses.fields(TrainConfig)}
+    config = TrainConfig(**{name: value for name, value in vars(args).items() if name in fields})
     features = FeatureMatrix(rio.read_fvecs(args.input))
-    config = TrainConfig(
-        k=args.k,
-        m=args.m,
-        gamma=args.gamma,
-        lr=args.lr,
-        batch_size=args.batch_size,
-        epochs_stage2=args.epochs_stage2,
-        epochs_stage3=args.epochs_stage3,
-        loss_flags=flags,
-        seed=args.seed,
-        init=args.init,
-    )
     with _output(args.log) as log_out:
         resolved = {k: sorted(v) if isinstance(v, frozenset) else v for k, v in vars(config).items()}
         print(json.dumps({"record": "config", **resolved}), file=log_out)
@@ -169,14 +148,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--gamma", type=float, default=20.0)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--batch-size", type=int, default=256)
-    p.add_argument("--epochs-stage2", type=int, default=20)
-    p.add_argument("--epochs-stage3", type=int, default=50)
-    p.add_argument("--loss-flags", default="hard,soft,joint")
-    p.add_argument("--init", choices=("random", "kmeans"), default="random")
-    p.add_argument("--seed", type=int, default=0)
+    # TrainConfig fields: an option left out takes the field's default
+    p.add_argument("--gamma", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--lr", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--batch-size", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--epochs-stage2", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--epochs-stage3", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--loss-flags", type=_parse_flags, default=argparse.SUPPRESS)
+    p.add_argument("--init", default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p.add_argument("--log")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)

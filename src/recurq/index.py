@@ -257,6 +257,8 @@ def evaluate(
 ) -> EvalReport:
     """Retrieval quality over a labeled query set; an item is relevant to a
     query when they share at least one label."""
+    if db.n == 0:
+        raise DomainError("evaluate needs a nonempty database: every metric over zero items is undefined")
     if r_cutoff < 1:
         raise DomainError("r_cutoff must be >= 1")
     if any(r < 1 for r in precision_at):

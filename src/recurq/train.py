@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DomainError, FeatureMatrix, RqModel, _as_matrix, _hard_errors, _level_books, _recurrence, _row_blocks, _sq_distances
+from .core import DomainError, FeatureMatrix, RqModel, _as_matrix, _hard_errors, _level_books, _level_weights, _recurrence, _row_blocks, _sq_distances
 
 _EPS = 1e-30
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPSILON = 0.9, 0.999, 1e-8
@@ -32,13 +32,16 @@ DEFAULT_FLAGS = frozenset(DISTORTION_FLAGS)
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training hyperparameters.
+    """Training hyperparameters. Each option is defined, defaulted and checked
+    here only; ``recurq train`` takes its defaults from these fields.
 
-    ``loss_flags`` is a subset of ``DISTORTION_FLAGS``; every other flag is
-    rejected. Stage 2 trains the codebook at one level for ``epochs_stage2``
-    epochs, stage 3 at all ``m`` levels for ``epochs_stage3``. The stages keep
-    the numbers 2 and 3 in field names, log records and errors because
-    renumbering them would change every training log.
+    ``loss_flags`` is a nonempty subset of ``DISTORTION_FLAGS``; an empty set
+    and every other flag are rejected. Stage 2 trains the codebook at one level
+    for ``epochs_stage2`` epochs, stage 3 at all ``m`` levels for
+    ``epochs_stage3``, in the same loop; an epoch count of 0 skips its stage
+    and a negative one is rejected. The stages keep the numbers 2 and 3 in
+    field names, log records and errors because renumbering them would change
+    every training log.
     Adam uses beta1 0.9, beta2 0.999 and epsilon 1e-8.
     The scale w is kept at or above 1e-3 after every step but has no upper
     bound: w > 1, a codebook that grows from level to level, is a valid model
@@ -56,13 +59,16 @@ class TrainConfig:
     loss_flags: frozenset[str] = DEFAULT_FLAGS
     seed: int = 0
     init: str = "random"  # codebook init: "random" | "kmeans"
-    gamma_final: float | None = None  # linear anneal target over stage 3
 
     def __post_init__(self):
         if self.lr <= 0:
             raise DomainError("lr must be positive")
         if self.batch_size < 1:
             raise DomainError("batch_size must be >= 1")
+        if self.epochs_stage2 < 0 or self.epochs_stage3 < 0:
+            raise DomainError("epoch counts must be >= 0")
+        if not self.loss_flags:
+            raise DomainError("loss_flags is empty: at least one loss flag is required")
         unknown = set(self.loss_flags) - set(DISTORTION_FLAGS)
         if unknown:
             raise DomainError(f"unknown loss flags: {sorted(unknown)}")
@@ -185,14 +191,14 @@ def grad_soft_distortion(batch, model: RqModel, fw: _Forward | None = None):
     if fw is None:
         fw = _forward(x, model)
     c = model.codebook
-    w = model.scale
+    weights = _level_weights(model.scale, model.levels)
     gamma = model.gamma
     d_c = np.zeros_like(c)
     d_w = 0.0
     grads = _unit_residual_grads(fw.soft_sums, x)
     for i in range(1, model.levels + 1):
         g = grads[i - 1]  # (N, D): dL/d q~^i
-        scaled = w ** (i - 1) * c
+        scaled = weights[i - 1] * c
         p = fw.probs[i - 1]
         dist = fw.dists[i - 1]
         r = fw.residuals[i - 1]
@@ -202,9 +208,9 @@ def grad_soft_distortion(batch, model: RqModel, fw: _Forward | None = None):
         coef = gamma * p * (s_hat[:, None] - s_b)
         a = np.where(dist > _EPS, coef / np.maximum(dist, _EPS), 0.0)
         d_scaled = p.T @ g + scaled * a.sum(axis=0)[:, None] - a.T @ r
-        d_c += w ** (i - 1) * d_scaled
+        d_c += weights[i - 1] * d_scaled
         if i >= 2:
-            d_w += (i - 1) * w ** (i - 2) * float(np.sum(d_scaled * c))
+            d_w += (i - 1) * weights[i - 2] * float(np.sum(d_scaled * c))
     return d_c, d_w
 
 
@@ -214,16 +220,16 @@ def grad_hard_distortion(batch, model: RqModel, fw: _Forward | None = None):
     if fw is None:
         fw = _forward(x, model)
     c = model.codebook
-    w = model.scale
+    weights = _level_weights(model.scale, model.levels)
     d_c = np.zeros_like(c)
     d_w = 0.0
     grads = _unit_residual_grads(fw.hard_sums, x)
     for i in range(1, model.levels + 1):
         g = grads[i - 1]
         idx = fw.codes[:, i - 1]
-        np.add.at(d_c, idx, w ** (i - 1) * g)
+        np.add.at(d_c, idx, weights[i - 1] * g)
         if i >= 2:
-            d_w += (i - 1) * w ** (i - 2) * float(np.einsum("nd,nd->", g, c[idx]))
+            d_w += (i - 1) * weights[i - 2] * float(np.einsum("nd,nd->", g, c[idx]))
     return d_c, d_w
 
 
@@ -440,19 +446,12 @@ def _require_finite(value, what: str, stage: int, epoch: int) -> None:
 
 def _train_quant_stage(stage, model, x, config, rng, log, epochs):
     flags = config.loss_flags
-    if not flags:
-        return model
     n = x.shape[0]
     params = {"C": model.codebook.copy(), "w": np.float64(model.scale)}
     state = AdamState()
 
-    def current_model(gamma=None):
-        return RqModel(
-            params["C"].copy(),
-            float(params["w"]),
-            model.gamma if gamma is None else gamma,
-            model.levels,
-        )
+    def current_model():
+        return RqModel(params["C"].copy(), float(params["w"]), model.gamma, model.levels)
 
     report = distortion_losses(x, current_model())
     best_loss = _monitored_loss(report, flags)[1]
@@ -462,15 +461,10 @@ def _train_quant_stage(stage, model, x, config, rng, log, epochs):
 
     for epoch in range(epochs):
         t0 = time.perf_counter()
-        gamma = model.gamma
-        if stage == 3 and config.gamma_final is not None and epochs > 1:
-            frac = epoch / (epochs - 1)
-            gamma = model.gamma + frac * (config.gamma_final - model.gamma)
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             batch_idx = order[start : start + config.batch_size]
-            mdl = current_model(gamma)
-            d_c, d_w = _enabled_distortion_grads(x[batch_idx], mdl, flags)
+            d_c, d_w = _enabled_distortion_grads(x[batch_idx], current_model(), flags)
             _require_finite(d_c, "codebook gradient", stage, epoch)
             _require_finite(d_w, "scale gradient", stage, epoch)
             adam_step(params, {"C": d_c, "w": np.float64(d_w)}, state, config)
@@ -478,7 +472,7 @@ def _train_quant_stage(stage, model, x, config, rng, log, epochs):
             _require_finite(params["C"], "codebook", stage, epoch)
             _require_finite(params["w"], "scale w", stage, epoch)
 
-        report = distortion_losses(x, current_model(gamma))
+        report = distortion_losses(x, current_model())
         fields, monitored = _monitored_loss(report, flags)
         _require_finite(monitored, "monitored loss", stage, epoch)
         log.append({"stage": stage, "epoch": epoch, "wall_time": time.perf_counter() - t0,

@@ -551,6 +551,12 @@ class TestEvaluateContract:
         with pytest.raises(DomainError):
             evaluate(queries, db, db_labels, r_cutoff=5, precision_at=precision_at)
 
+    def test_empty_database_rejected(self):
+        queries, db, _ = self._db()
+        empty = encode_database(np.empty((0, 4)), db.model)
+        with pytest.raises(DomainError, match="nonempty database"):
+            evaluate(queries, empty, [], r_cutoff=5, precision_at=(5,))
+
     def test_curve_built_on_first_read(self):
         queries, db, db_labels = self._db()
         report = evaluate(queries, db, db_labels, r_cutoff=5)

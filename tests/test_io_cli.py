@@ -1,3 +1,4 @@
+import json
 import struct
 import tracemalloc
 import zlib
@@ -12,6 +13,7 @@ from recurq import (
     FeatureMatrix,
     FileFormatError,
     RqModel,
+    TrainConfig,
     encode_database,
     kmeans_init,
     load_codes,
@@ -288,8 +290,6 @@ class TestCli:
         ])
         assert rc == 0
         log_lines = log_path.read_text().strip().splitlines()
-        import json
-
         records = [json.loads(l) for l in log_lines]
         assert records[0]["record"] == "config"
         assert records[0]["seed"] == 7
@@ -470,6 +470,53 @@ class TestCli:
         captured = capsys.readouterr()
         assert "map@" not in captured.out
         assert captured.err.startswith("error: ") and "precision" in captured.err
+
+    def test_eval_empty_database_exit_code(self, tmp_path, capsys):
+        vec, lab = self._synth(tmp_path, n=100, d=8)
+        model_path, codes_path = tmp_path / "m.drqm", tmp_path / "c.drqc"
+        empty_vec, empty_lab = tmp_path / "empty.fvecs", tmp_path / "empty.labels"
+        write_fvecs(np.empty((0, 8)), empty_vec)
+        write_labels([], empty_lab)
+        save_model(make_model(np.random.default_rng(74), d=8, m=2), model_path)
+        assert main(["encode", "--model", str(model_path), "--input", str(empty_vec),
+                     "--out", str(codes_path)]) == 0
+        capsys.readouterr()
+        rc = main(["eval", "--model", str(model_path), "--codes", str(codes_path),
+                   "--queries", str(vec), "--query-labels", str(lab),
+                   "--db-labels", str(empty_lab), "--map-cutoff", "5", "--precision-at", "5"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "nonempty database" in captured.err
+
+    def test_train_defaults_are_trainconfig_defaults(self, tmp_path):
+        vec, _ = self._synth(tmp_path, n=100)
+        log_path = tmp_path / "train.log"
+        assert main(["train", "--input", str(vec), "--k", "8", "--m", "1",
+                     "--log", str(log_path), "--out", str(tmp_path / "m.drqm")]) == 0
+        record = json.loads(log_path.read_text().splitlines()[0])
+        assert record.pop("record") == "config"
+        assert {**record, "loss_flags": frozenset(record["loss_flags"])} == vars(TrainConfig(8, 1))
+
+    def test_train_full_and_short_flag_names(self, tmp_path):
+        vec, _ = self._synth(tmp_path, n=100)
+        log_path = tmp_path / "train.log"
+        assert main(["train", "--input", str(vec), "--k", "8", "--m", "1",
+                     "--epochs-stage2", "1", "--epochs-stage3", "1", "--loss-flags", "hard_distortion,soft",
+                     "--log", str(log_path), "--out", str(tmp_path / "m.drqm")]) == 0
+        record = json.loads(log_path.read_text().splitlines()[0])
+        assert record["loss_flags"] == ["hard_distortion", "soft_distortion"]
+
+    @pytest.mark.parametrize("options, reason", [
+        (["--loss-flags", ","], "loss_flags is empty"),
+        (["--epochs-stage2", "-1", "--epochs-stage3", "-3"], "epoch counts must be >= 0"),
+    ], ids=["no-flags", "negative-epochs"])
+    def test_bad_train_options_fail_before_reading_input(self, tmp_path, capsys, options, reason):
+        rc = main(["train", "--input", str(tmp_path / "missing.fvecs"), "--k", "8", "--m", "1",
+                   *options, "--out", str(tmp_path / "m.drqm")])
+        assert rc == 2
+        assert reason in capsys.readouterr().err
+        assert not (tmp_path / "m.drqm").exists()
 
     def test_stage1_flags_without_labels(self, tmp_path):
         vec, _ = self._synth(tmp_path, n=100)

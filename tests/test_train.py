@@ -429,19 +429,19 @@ class TestTrain:
         final = distortion_losses(fm.data, model).e_hard
         assert final <= distortion_losses(fm.data, init).e_hard + 1e-12
 
-    def test_gamma_annealing_runs(self):
-        fm = synth_dataset(n=200, d=8, clusters=4, spread=0.2, seed=13)
-        config = TrainConfig(
-            k=8, m=2, epochs_stage2=2, epochs_stage3=4, seed=13, gamma_final=50.0
-        )
-        model, log = train(fm, config)
-        assert model.gamma == config.gamma
-        assert any(r["stage"] == 3 for r in log)
-
     @pytest.mark.parametrize("flag", ["triplet", "adaptive_margin", "no_such_loss"])
     def test_unknown_loss_flags_rejected(self, flag):
         with pytest.raises(DomainError, match="unknown loss flags"):
             TrainConfig(k=4, m=1, loss_flags=frozenset({"hard_distortion", flag}))
+
+    @pytest.mark.parametrize("bad, match", [
+        ({"loss_flags": frozenset()}, "loss_flags is empty"),
+        ({"epochs_stage2": -1}, "epoch counts must be >= 0"),
+        ({"epochs_stage3": -3}, "epoch counts must be >= 0"),
+    ], ids=["no-flags", "stage2-negative", "stage3-negative"])
+    def test_bad_config_rejected(self, bad, match):
+        with pytest.raises(DomainError, match=match):
+            TrainConfig(k=4, m=1, **bad)
 
     def test_labels_do_not_change_training(self):
         fm = synth_dataset(n=150, d=8, clusters=4, spread=0.2, seed=6)
