@@ -1,5 +1,5 @@
 """Core quantization math: hard/soft assignment, the shared-codebook
-recurrence, reconstruction, and code packing.
+recurrence and its soft-path forward, reconstruction, and code packing.
 
 All operations here are pure functions over immutable inputs. Distances are
 computed in float64; argmin ties break toward the smallest index.
@@ -317,6 +317,39 @@ def _recurrence(x: np.ndarray, books, gamma: float | None = None):
         h = h - hard
 
 
+class _Forward(NamedTuple):
+    levels: list[_Level]  # one record per level, soft path
+    codes: np.ndarray  # (N, M)
+    hard_sums: np.ndarray  # (M, N, D) running hard reconstructions
+    soft_sums: np.ndarray  # (M, N, D) running soft reconstructions
+    hard_err: np.ndarray  # (M, N) Euclidean error of each hard sum against the input
+    soft_err: np.ndarray  # (M, N) the same for the soft sums
+
+
+def _partials(x: np.ndarray, model: RqModel):
+    """The soft-path recurrence over the rows of ``x``, one level at a time: yield
+    the :class:`_Level`, the running hard and soft reconstructions and their (N,)
+    Euclidean errors against ``x``. Nothing of a level is kept after the next, so
+    a caller that keeps only the errors holds M*N floats, not M*N*K."""
+    hard = soft = 0.0
+    for lv in _recurrence(x, _level_books(model), model.gamma):
+        hard = lv.hard + hard
+        soft = lv.soft + soft
+        yield lv, hard, soft, np.linalg.norm(hard - x, axis=1), np.linalg.norm(soft - x, axis=1)
+
+
+def _forward(x: np.ndarray, model: RqModel) -> _Forward:
+    """Every level of :func:`_partials` over the rows of ``x``, collected."""
+    (n, d), m = x.shape, model.levels
+    fw = _Forward([], np.empty((n, m), dtype=np.int64), np.empty((m, n, d)), np.empty((m, n, d)),
+                  np.empty((m, n)), np.empty((m, n)))
+    for i, (lv, hard, soft, hard_err, soft_err) in enumerate(_partials(x, model)):
+        fw.levels.append(lv)
+        fw.codes[:, i] = lv.idx
+        fw.hard_sums[i], fw.soft_sums[i], fw.hard_err[i], fw.soft_err[i] = hard, soft, hard_err, soft_err
+    return fw
+
+
 def encode(x, model: RqModel) -> tuple[CodeSequence, QuantTrace]:
     """Greedy recurrent encoding: at each level quantize the current residual
     against the scaled codebook, subtract the selected codeword, and shrink
@@ -324,18 +357,17 @@ def encode(x, model: RqModel) -> tuple[CodeSequence, QuantTrace]:
     x = _as_vector(x, "x")
     if x.shape[0] != model.dim:
         raise DomainError("input dimension does not match model")
-    levels = list(_recurrence(x[None, :], _level_books(model), model.gamma))
-    hard = np.concatenate([lv.hard for lv in levels])
-    soft = np.concatenate([lv.soft for lv in levels])
+    fw = _forward(x[None, :], model)
+    levels = fw.levels
     trace = QuantTrace(
         states=np.concatenate([lv.h for lv in levels] + [levels[-1].h - levels[-1].hard]),
-        hard_partials=hard,
-        soft_partials=soft,
-        per_level_hard_err=np.linalg.norm(np.cumsum(hard, axis=0) - x, axis=1),
-        per_level_soft_err=np.linalg.norm(np.cumsum(soft, axis=0) - x, axis=1),
+        hard_partials=np.concatenate([lv.hard for lv in levels]),
+        soft_partials=np.concatenate([lv.soft for lv in levels]),
+        per_level_hard_err=fw.hard_err[:, 0],
+        per_level_soft_err=fw.soft_err[:, 0],
         probs=np.concatenate([lv.probs for lv in levels]),
     )
-    return CodeSequence(np.concatenate([lv.idx for lv in levels])), trace
+    return CodeSequence(fw.codes[0]), trace
 
 
 def encode_batch(data, model: RqModel) -> np.ndarray:

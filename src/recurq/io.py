@@ -146,9 +146,12 @@ def read_fvecs(path) -> np.ndarray:
 
 
 def write_labels(label_sets, path) -> None:
+    """Write per-row label sets; every id must lie in [0, 2^31), as :func:`read_labels` requires."""
     out = bytearray()
     for s in label_sets:
         ids = sorted(int(i) for i in s)
+        if ids and not (ids[0] >= 0 and ids[-1] < 2 ** 31):
+            raise DomainError(f"label ids must be in [0, 2^31), got {ids[0]}..{ids[-1]}")
         out += struct.pack("<i", len(ids))
         for i in ids:
             out += struct.pack("<i", i)

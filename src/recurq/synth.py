@@ -15,6 +15,8 @@ def synth_dataset(n: int, d: int, clusters: int, spread: float, seed: int) -> Fe
         raise DomainError("need n >= clusters >= 1 and d >= 1")
     if spread < 0:
         raise DomainError("spread must be >= 0")
+    if not 0 <= seed < 2 ** 64:
+        raise DomainError(f"seed {seed} must be in [0, 2^64)")
     rng = np.random.default_rng(np.uint64(seed))
     centers = rng.normal(size=(clusters, d))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from .core import DomainError, FeatureMatrix, RqModel, _as_matrix, _hard_errors, _level_books, _level_weights, _recurrence, _row_blocks, _sq_distances
+from .core import DomainError, FeatureMatrix, RqModel, _as_matrix, _Forward, _forward, _hard_errors, _level_weights, _partials, _row_blocks, _sq_distances
 
 _EPS = 1e-30
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPSILON = 0.9, 0.999, 1e-8
@@ -33,7 +32,9 @@ DEFAULT_FLAGS = frozenset(DISTORTION_FLAGS)
 @dataclass(frozen=True)
 class TrainConfig:
     """Training hyperparameters. Each option is defined, defaulted and checked
-    here only; ``recurq train`` takes its defaults from these fields.
+    here only; ``recurq train`` takes its defaults from these fields. ``k`` is a
+    power of two and ``m`` >= 1, as :class:`RqModel` requires; ``gamma`` and ``lr``
+    are finite and positive; ``seed`` lies in [0, 2^64).
 
     ``loss_flags`` is a nonempty subset of ``DISTORTION_FLAGS``; an empty set
     and every other flag are rejected. Stage 2 trains the codebook at one level
@@ -61,8 +62,15 @@ class TrainConfig:
     init: str = "random"  # codebook init: "random" | "kmeans"
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise DomainError("lr must be positive")
+        if self.k < 1 or self.k & (self.k - 1):
+            raise DomainError(f"k={self.k} must be a power of two")
+        if self.m < 1:
+            raise DomainError("m must be >= 1")
+        for name, value in (("gamma", self.gamma), ("lr", self.lr)):
+            if not np.isfinite(value) or value <= 0:
+                raise DomainError(f"{name} must be finite and positive")
+        if not 0 <= self.seed < 2 ** 64:
+            raise DomainError(f"seed {self.seed} must be in [0, 2^64)")
         if self.batch_size < 1:
             raise DomainError("batch_size must be >= 1")
         if self.epochs_stage2 < 0 or self.epochs_stage3 < 0:
@@ -102,15 +110,6 @@ class DistortionReport:
     per_level_soft: np.ndarray
 
 
-class _Forward(NamedTuple):
-    codes: np.ndarray  # (N, M)
-    residuals: list[np.ndarray]  # level inputs h^0..h^{M-1}, each (N, D)
-    probs: list[np.ndarray]  # (N, K) per level
-    dists: list[np.ndarray]  # (N, K) per level
-    hard_sums: np.ndarray  # (M, N, D) cumulative hard reconstructions
-    soft_sums: np.ndarray  # (M, N, D) cumulative soft reconstructions
-
-
 def _batch_data(batch, dim: int | None = None) -> np.ndarray:
     """The batch as a finite, nonempty (N, dim) float64 matrix."""
     x = batch.data if isinstance(batch, FeatureMatrix) else np.asarray(batch, dtype=np.float64)
@@ -122,41 +121,22 @@ def _batch_data(batch, dim: int | None = None) -> np.ndarray:
     return x
 
 
-def _forward(x: np.ndarray, model: RqModel) -> _Forward:
-    n, d = x.shape
-    fw = _Forward(np.empty((n, model.levels), dtype=np.int64), [], [], [],
-                  np.empty((model.levels, n, d)), np.empty((model.levels, n, d)))
-    for m, lv in enumerate(_recurrence(x, _level_books(model), model.gamma)):
-        fw.codes[:, m] = lv.idx
-        fw.residuals.append(lv.h)
-        fw.probs.append(lv.probs)
-        fw.dists.append(lv.dist)
-        fw.hard_sums[m] = lv.hard + (fw.hard_sums[m - 1] if m else 0.0)
-        fw.soft_sums[m] = lv.soft + (fw.soft_sums[m - 1] if m else 0.0)
-    return fw
-
-
 def distortion_losses(batch, model: RqModel) -> DistortionReport:
     """Per-level and total distortion errors, batch-averaged.
 
     E_h^m and E_s^m are Euclidean errors of the level-m partial hard/soft
     reconstructions against the original inputs; totals sum over levels and
     the joint term is the absolute difference of the two totals. The batch is
-    run through the recurrence in row blocks, keeping only the per-row errors,
+    run through the forward in row blocks, keeping only the per-row errors,
     so memory grows with M*N, not with the soft path's M*N*K.
     """
     x = _batch_data(batch, model.dim)
-    books = _level_books(model)
     hard_err = np.empty((model.levels, x.shape[0]))
     soft_err = np.empty_like(hard_err)
     for rows in _row_blocks(x.shape[0], model.k):
-        xb = x[rows]
-        hard = soft = 0.0
-        for m, lv in enumerate(_recurrence(xb, books, model.gamma)):
-            hard = lv.hard + hard
-            soft = lv.soft + soft
-            hard_err[m, rows] = np.linalg.norm(hard - xb, axis=1)
-            soft_err[m, rows] = np.linalg.norm(soft - xb, axis=1)
+        for m, (*_, hard_row, soft_row) in enumerate(_partials(x[rows], model)):
+            hard_err[m, rows] = hard_row
+            soft_err[m, rows] = soft_row
     hard_per = hard_err.mean(axis=1)
     soft_per = soft_err.mean(axis=1)
     e_hard = float(hard_per.sum())
@@ -170,12 +150,13 @@ def distortion_losses(batch, model: RqModel) -> DistortionReport:
     )
 
 
-def _unit_residual_grads(sums: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per-level gradients of mean ||sum_m - x|| w.r.t. each cumulative sum,
-    already accumulated over downstream levels: G[i] = sum_{m>=i} unit(sum_m - x)/N."""
+def _unit_residual_grads(sums: np.ndarray, errors: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per-level gradients of mean ||sum_m - x|| w.r.t. each cumulative sum, given
+    the (M, N) ``errors`` ||sum_m - x||, already accumulated over downstream
+    levels: G[i] = sum_{m>=i} unit(sum_m - x)/N."""
     n = x.shape[0]
     diffs = sums - x
-    norms = np.linalg.norm(diffs, axis=2, keepdims=True)
+    norms = errors[:, :, None]
     units = np.where(norms > _EPS, diffs / np.maximum(norms, _EPS), 0.0)
     return np.cumsum(units[::-1], axis=0)[::-1] / n
 
@@ -195,19 +176,15 @@ def grad_soft_distortion(batch, model: RqModel, fw: _Forward | None = None):
     gamma = model.gamma
     d_c = np.zeros_like(c)
     d_w = 0.0
-    grads = _unit_residual_grads(fw.soft_sums, x)
-    for i in range(1, model.levels + 1):
+    grads = _unit_residual_grads(fw.soft_sums, fw.soft_err, x)
+    for i, lv in enumerate(fw.levels, start=1):
         g = grads[i - 1]  # (N, D): dL/d q~^i
         scaled = weights[i - 1] * c
-        p = fw.probs[i - 1]
-        dist = fw.dists[i - 1]
-        r = fw.residuals[i - 1]
-        q_soft = p @ scaled
-        s_hat = np.einsum("nd,nd->n", g, q_soft)
+        s_hat = np.einsum("nd,nd->n", g, lv.soft)
         s_b = g @ scaled.T  # (N, K)
-        coef = gamma * p * (s_hat[:, None] - s_b)
-        a = np.where(dist > _EPS, coef / np.maximum(dist, _EPS), 0.0)
-        d_scaled = p.T @ g + scaled * a.sum(axis=0)[:, None] - a.T @ r
+        coef = gamma * lv.probs * (s_hat[:, None] - s_b)
+        a = np.where(lv.dist > _EPS, coef / np.maximum(lv.dist, _EPS), 0.0)
+        d_scaled = lv.probs.T @ g + scaled * a.sum(axis=0)[:, None] - a.T @ lv.h
         d_c += weights[i - 1] * d_scaled
         if i >= 2:
             d_w += (i - 1) * weights[i - 2] * float(np.sum(d_scaled * c))
@@ -223,13 +200,12 @@ def grad_hard_distortion(batch, model: RqModel, fw: _Forward | None = None):
     weights = _level_weights(model.scale, model.levels)
     d_c = np.zeros_like(c)
     d_w = 0.0
-    grads = _unit_residual_grads(fw.hard_sums, x)
-    for i in range(1, model.levels + 1):
+    grads = _unit_residual_grads(fw.hard_sums, fw.hard_err, x)
+    for i, lv in enumerate(fw.levels, start=1):
         g = grads[i - 1]
-        idx = fw.codes[:, i - 1]
-        np.add.at(d_c, idx, weights[i - 1] * g)
+        np.add.at(d_c, lv.idx, weights[i - 1] * g)
         if i >= 2:
-            d_w += (i - 1) * weights[i - 2] * float(np.einsum("nd,nd->", g, c[idx]))
+            d_w += (i - 1) * weights[i - 2] * float(np.einsum("nd,nd->", g, c[lv.idx]))
     return d_c, d_w
 
 
@@ -422,8 +398,8 @@ def _enabled_distortion_grads(xb, model, flags):
         d_c += sc
         d_w += sw
     if "joint_central" in flags:
-        e_h = np.linalg.norm(fw.hard_sums - xb, axis=2).mean(axis=1).sum()
-        e_s = np.linalg.norm(fw.soft_sums - xb, axis=2).mean(axis=1).sum()
+        e_h = fw.hard_err.mean(axis=1).sum()
+        e_s = fw.soft_err.mean(axis=1).sum()
         sgn = np.sign(e_h - e_s)
         d_c += sgn * (hc - sc)
         d_w += sgn * (hw - sw)

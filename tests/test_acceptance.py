@@ -33,8 +33,9 @@ from recurq import (
     triplet_loss,
     LabelEmbeddings,
 )
+from recurq.core import _forward
 from recurq.index import _prefix_reconstructions
-from recurq.train import _forward, hard_distortion_value
+from recurq.train import hard_distortion_value
 
 FD_STEP = 1e-6
 FD_RTOL = 1e-4
@@ -153,6 +154,7 @@ def test_c05_gradient_correctness():
         model = RqModel(rng.normal(size=(8, 4)), float(rng.uniform(0.3, 0.8)), 3.0, 2)
         x = rng.normal(size=(3, 4))
         fw = _forward(x, model)
+        residuals = [lv.h for lv in fw.levels]
         d_c, d_w = grad_soft_distortion(x, model, fw)
         c, w, g = model.codebook, model.scale, model.gamma
         for _ in range(3):
@@ -161,13 +163,13 @@ def test_c05_gradient_correctness():
             cp[i, j] += FD_STEP
             cm[i, j] -= FD_STEP
             fd = (
-                _soft_value_oracle(x, cp, w, g, fw.residuals)
-                - _soft_value_oracle(x, cm, w, g, fw.residuals)
+                _soft_value_oracle(x, cp, w, g, residuals)
+                - _soft_value_oracle(x, cm, w, g, residuals)
             ) / (2 * FD_STEP)
             assert _fd_close(d_c[i, j], fd)
         fd_w = (
-            _soft_value_oracle(x, c, w + FD_STEP, g, fw.residuals)
-            - _soft_value_oracle(x, c, w - FD_STEP, g, fw.residuals)
+            _soft_value_oracle(x, c, w + FD_STEP, g, residuals)
+            - _soft_value_oracle(x, c, w - FD_STEP, g, residuals)
         ) / (2 * FD_STEP)
         assert _fd_close(d_w, fd_w)
 

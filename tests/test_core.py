@@ -18,8 +18,7 @@ from recurq import (
     soft_quantize,
     unpack_codes,
 )
-from recurq.core import pack_rows, unpack_rows
-from recurq.train import _forward
+from recurq.core import _forward, _level_books, _recurrence, pack_rows, unpack_rows
 
 
 def random_model(rng, k=16, d=8, m=3, gamma=5.0):
@@ -117,6 +116,36 @@ class TestSoftQuantize:
             soft_quantize([0.0], [[1.0]], gamma=-2.0)
 
 
+def encode_reference(x, model):
+    """encode's codes and trace from one _recurrence pass, with the per-level
+    errors from np.cumsum of the partials: the arithmetic the shared forward
+    replaced, which must give the same bits."""
+    levels = list(_recurrence(x[None, :], _level_books(model), model.gamma))
+    hard = np.concatenate([lv.hard for lv in levels])
+    soft = np.concatenate([lv.soft for lv in levels])
+    return np.concatenate([lv.idx for lv in levels]), {
+        "states": np.concatenate([lv.h for lv in levels] + [levels[-1].h - levels[-1].hard]),
+        "hard_partials": hard,
+        "soft_partials": soft,
+        "per_level_hard_err": np.linalg.norm(np.cumsum(hard, axis=0) - x, axis=1),
+        "per_level_soft_err": np.linalg.norm(np.cumsum(soft, axis=0) - x, axis=1),
+        "probs": np.concatenate([lv.probs for lv in levels]),
+    }
+
+
+def test_encode_equals_recomputing_reference():
+    rng = np.random.default_rng(7)
+    for _ in range(150):
+        model = random_model(rng, k=1 << int(rng.integers(0, 9)), d=int(rng.integers(1, 65)),
+                             m=int(rng.integers(1, 9)), gamma=float(rng.uniform(0.1, 100.0)))
+        x = rng.normal(size=model.dim)
+        codes, trace = encode(x, model)
+        want_codes, want_trace = encode_reference(x, model)
+        assert np.array_equal(codes.indices, want_codes)
+        for name, want in want_trace.items():
+            assert np.array_equal(getattr(trace, name), want), name
+
+
 def test_quantizers_equal_training_forward_at_one_level():
     # hard_quantize and soft_quantize are the M=1 step of the recurrence, bit for bit
     rng = np.random.default_rng(6)
@@ -129,7 +158,7 @@ def test_quantizers_equal_training_forward_at_one_level():
         sa = soft_quantize(x, model.codebook, model.gamma)
         assert idx == fw.codes[0, 0]
         assert np.array_equal(codeword, fw.hard_sums[0, 0])
-        assert np.array_equal(sa.probs, fw.probs[0][0])
+        assert np.array_equal(sa.probs, fw.levels[0].probs[0])
         assert np.array_equal(sa.expected, fw.soft_sums[0, 0])
 
 

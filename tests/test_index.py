@@ -19,10 +19,9 @@ from recurq import (
     write_labels,
 )
 from recurq import core
-from recurq.core import LabelSets, _row_blocks
+from recurq.core import LabelSets, _forward, _row_blocks
 from recurq.index import _QUERY_BLOCK, adc_distances, average_precision, _prefix_reconstructions, _relevant_ranks, database_from_codes
 from recurq.synth import synth_dataset
-from recurq.train import _forward
 
 # numpy's w ** np.arange(4) and Python's w ** 3 differ in the last bit of w^3 for this w
 LAST_BIT_W = 0.6095693498571635

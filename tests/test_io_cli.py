@@ -246,6 +246,19 @@ class TestVectorFiles:
         write_labels(sets, path)
         assert read_labels(path) == sets
 
+    def test_labels_round_trip_id_range_ends(self, tmp_path):
+        sets = [frozenset((0, 2**31 - 1)), frozenset()]
+        path = tmp_path / "l.bin"
+        write_labels(sets, path)
+        assert read_labels(path) == sets
+
+    @pytest.mark.parametrize("bad", [-1, 2**31, -(2**40)])
+    def test_labels_out_of_range_not_written(self, tmp_path, bad):
+        path = tmp_path / "l.bin"
+        with pytest.raises(DomainError, match=r"label ids must be in \[0, 2\^31\)"):
+            write_labels([frozenset((1,)), frozenset((3, bad))], path)
+        assert list(tmp_path.iterdir()) == []  # neither the file nor a temp file
+
     @pytest.mark.parametrize("raw", [
         struct.pack("<3i", 2, 4, -3),
         struct.pack("<i", -1),
@@ -265,6 +278,17 @@ class TestVectorFiles:
             path.write_bytes(raw)
             with pytest.raises(FileFormatError):
                 read_fvecs(path)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_synth_seed_out_of_range_rejected(seed):
+    with pytest.raises(DomainError, match=r"must be in \[0, 2\^64\)"):
+        synth_dataset(n=10, d=2, clusters=2, spread=0.1, seed=seed)
+
+
+def test_synth_seed_range_ends_accepted():
+    for seed in (0, 2**64 - 1):
+        assert synth_dataset(n=10, d=2, clusters=2, spread=0.1, seed=seed).n == 10
 
 
 class TestCli:
@@ -422,7 +446,7 @@ class TestCli:
         assert main(["encode", "--model", str(model_path), "--input", str(vec),
                      "--out", str(codes_path)]) == 0
         bad = tmp_path / "bad.labels"
-        write_labels([frozenset((-1,))] * 100, bad)
+        bad.write_bytes(struct.pack("<2i", 1, -1) * 100)  # write_labels refuses to write a negative id
         rc = main(["eval", "--model", str(model_path), "--codes", str(codes_path),
                    "--queries", str(vec), "--query-labels", str(lab),
                    "--db-labels", str(bad), "--map-cutoff", "10"])
@@ -510,7 +534,12 @@ class TestCli:
     @pytest.mark.parametrize("options, reason", [
         (["--loss-flags", ","], "loss_flags is empty"),
         (["--epochs-stage2", "-1", "--epochs-stage3", "-3"], "epoch counts must be >= 0"),
-    ], ids=["no-flags", "negative-epochs"])
+        (["--k", "3"], "k=3 must be a power of two"),
+        (["--m", "0"], "m must be >= 1"),
+        (["--gamma", "0"], "gamma must be finite and positive"),
+        (["--lr", "nan"], "lr must be finite and positive"),
+        (["--seed", "-1"], "seed -1 must be in [0, 2^64)"),
+    ], ids=["no-flags", "negative-epochs", "k-not-power-of-two", "m-zero", "gamma-zero", "lr-nan", "seed-negative"])
     def test_bad_train_options_fail_before_reading_input(self, tmp_path, capsys, options, reason):
         rc = main(["train", "--input", str(tmp_path / "missing.fvecs"), "--k", "8", "--m", "1",
                    *options, "--out", str(tmp_path / "m.drqm")])
@@ -545,6 +574,14 @@ class TestCli:
         assert rc == 2
         assert "stage 2, epoch 0: codebook gradient is not finite" in capsys.readouterr().err
         assert not (tmp_path / "m.drqm").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_synth_seed_out_of_range_exit_code(self, tmp_path, capsys, seed):
+        rc = main(["synth", "--n", "10", "--d", "2", "--clusters", "2", "--seed", seed,
+                   "--out", str(tmp_path / "v.fvecs")])
+        assert rc == 2
+        assert "must be in [0, 2^64)" in capsys.readouterr().err
+        assert not (tmp_path / "v.fvecs").exists()
 
     def test_missing_file_exit_code(self, tmp_path):
         rc = main(["encode", "--model", str(tmp_path / "no.drqm"),

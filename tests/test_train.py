@@ -24,7 +24,8 @@ from recurq import (
     triplet_loss,
 )
 from recurq.synth import synth_dataset
-from recurq.train import AdamState, _forward, _row_blocks, hard_distortion_value
+from recurq.core import _forward, _level_books, _level_weights, _recurrence
+from recurq.train import DEFAULT_FLAGS, AdamState, _enabled_distortion_grads, _row_blocks, hard_distortion_value
 
 FD_STEP = 1e-6
 
@@ -119,6 +120,7 @@ class TestSoftGradient:
         for trial in range(50):
             x, model = random_instance(rng, k=8, d=4, m=2)
             fw = _forward(x, model)
+            residuals = [lv.h for lv in fw.levels]
             d_c, d_w = grad_soft_distortion(x, model, fw)
             c, w, g = model.codebook, model.scale, model.gamma
             for _ in range(4):
@@ -127,13 +129,13 @@ class TestSoftGradient:
                 cp[i, j] += FD_STEP
                 cm[i, j] -= FD_STEP
                 fd = (
-                    soft_value_oracle(x, cp, w, g, fw.residuals)
-                    - soft_value_oracle(x, cm, w, g, fw.residuals)
+                    soft_value_oracle(x, cp, w, g, residuals)
+                    - soft_value_oracle(x, cm, w, g, residuals)
                 ) / (2 * FD_STEP)
                 assert d_c[i, j] == pytest.approx(fd, rel=1e-4, abs=1e-7)
             fd_w = (
-                soft_value_oracle(x, c, w + FD_STEP, g, fw.residuals)
-                - soft_value_oracle(x, c, w - FD_STEP, g, fw.residuals)
+                soft_value_oracle(x, c, w + FD_STEP, g, residuals)
+                - soft_value_oracle(x, c, w - FD_STEP, g, residuals)
             ) / (2 * FD_STEP)
             assert d_w == pytest.approx(fd_w, rel=1e-4, abs=1e-7)
 
@@ -438,10 +440,24 @@ class TestTrain:
         ({"loss_flags": frozenset()}, "loss_flags is empty"),
         ({"epochs_stage2": -1}, "epoch counts must be >= 0"),
         ({"epochs_stage3": -3}, "epoch counts must be >= 0"),
-    ], ids=["no-flags", "stage2-negative", "stage3-negative"])
+        ({"k": 3}, "k=3 must be a power of two"),
+        ({"k": 0}, "k=0 must be a power of two"),
+        ({"m": 0}, "m must be >= 1"),
+        ({"gamma": 0.0}, "gamma must be finite and positive"),
+        ({"gamma": float("inf")}, "gamma must be finite and positive"),
+        ({"lr": float("nan")}, "lr must be finite and positive"),
+        ({"lr": -0.1}, "lr must be finite and positive"),
+        ({"seed": -1}, r"seed -1 must be in \[0, 2\^64\)"),
+        ({"seed": 2 ** 64}, "must be in"),
+    ], ids=["no-flags", "stage2-negative", "stage3-negative", "k-not-power-of-two", "k-zero", "m-zero",
+            "gamma-zero", "gamma-inf", "lr-nan", "lr-negative", "seed-negative", "seed-too-large"])
     def test_bad_config_rejected(self, bad, match):
         with pytest.raises(DomainError, match=match):
-            TrainConfig(k=4, m=1, **bad)
+            TrainConfig(**{"k": 4, "m": 1, **bad})
+
+    def test_config_edge_values_accepted(self):
+        TrainConfig(k=2, m=1, seed=2 ** 64 - 1)
+        TrainConfig(k=2 ** 16, m=1, gamma=1e-300, lr=1e308, seed=0)
 
     def test_labels_do_not_change_training(self):
         fm = synth_dataset(n=150, d=8, clusters=4, spread=0.2, seed=6)
@@ -536,12 +552,73 @@ class TestBlockedKmeans:
             kmeans_init(x, 4)
 
 
+def running_sums(x, model):
+    """The levels of one whole-batch _recurrence pass and their (M, N, D) running
+    hard and soft reconstructions, each level added to the sum before it."""
+    levels = list(_recurrence(x, _level_books(model), model.gamma))
+    hard_sums, soft_sums = np.empty((2, model.levels) + x.shape)
+    for m, lv in enumerate(levels):
+        hard_sums[m] = lv.hard + (hard_sums[m - 1] if m else 0.0)
+        soft_sums[m] = lv.soft + (soft_sums[m - 1] if m else 0.0)
+    return levels, hard_sums, soft_sums
+
+
 def distortion_reference(x, model):
-    """Whole-batch per-level errors from the (M, N, D) reconstructions of _forward."""
-    fw = _forward(x, model)
-    hard = np.linalg.norm(fw.hard_sums - x, axis=2).mean(axis=1)
-    soft = np.linalg.norm(fw.soft_sums - x, axis=2).mean(axis=1)
+    """Whole-batch per-level errors, normed over the (M, N, D) running sums."""
+    _, hard_sums, soft_sums = running_sums(x, model)
+    hard = np.linalg.norm(hard_sums - x, axis=2).mean(axis=1)
+    soft = np.linalg.norm(soft_sums - x, axis=2).mean(axis=1)
     return hard, soft
+
+
+def gradients_reference(x, model):
+    """Hard, soft and all-flag gradients with their own running sums, norms and
+    blend products, from _recurrence alone: the arithmetic the shared forward
+    replaced, which must give the same bits."""
+    levels, hard_sums, soft_sums = running_sums(x, model)
+    c, gamma, n = model.codebook, model.gamma, x.shape[0]
+    weights = _level_weights(model.scale, model.levels)
+
+    def unit_grads(sums):
+        diffs = sums - x
+        norms = np.linalg.norm(diffs, axis=2, keepdims=True)
+        units = np.where(norms > 1e-30, diffs / np.maximum(norms, 1e-30), 0.0)
+        return np.cumsum(units[::-1], axis=0)[::-1] / n
+
+    sc, sw, grads = np.zeros_like(c), 0.0, unit_grads(soft_sums)
+    for i in range(1, model.levels + 1):
+        g, scaled, lv = grads[i - 1], weights[i - 1] * c, levels[i - 1]
+        s_hat = np.einsum("nd,nd->n", g, lv.probs @ scaled)
+        coef = gamma * lv.probs * (s_hat[:, None] - g @ scaled.T)
+        a = np.where(lv.dist > 1e-30, coef / np.maximum(lv.dist, 1e-30), 0.0)
+        d_scaled = lv.probs.T @ g + scaled * a.sum(axis=0)[:, None] - a.T @ lv.h
+        sc += weights[i - 1] * d_scaled
+        if i >= 2:
+            sw += (i - 1) * weights[i - 2] * float(np.sum(d_scaled * c))
+    hc, hw, grads = np.zeros_like(c), 0.0, unit_grads(hard_sums)
+    for i in range(1, model.levels + 1):
+        g, idx = grads[i - 1], levels[i - 1].idx
+        np.add.at(hc, idx, weights[i - 1] * g)
+        if i >= 2:
+            hw += (i - 1) * weights[i - 2] * float(np.einsum("nd,nd->", g, c[idx]))
+    e_h = np.linalg.norm(hard_sums - x, axis=2).mean(axis=1).sum()
+    e_s = np.linalg.norm(soft_sums - x, axis=2).mean(axis=1).sum()
+    sgn = np.sign(e_h - e_s)
+    total = (np.zeros_like(c) + hc + sc + sgn * (hc - sc), 0.0 + hw + sw + sgn * (hw - sw))
+    return (hc, hw), (sc, sw), total
+
+
+def test_gradients_equal_recomputing_reference():
+    rng = np.random.default_rng(35)
+    for _ in range(120):
+        k, d, m = 1 << int(rng.integers(0, 9)), int(rng.integers(1, 33)), int(rng.integers(1, 7))
+        model = RqModel(rng.normal(size=(k, d)), float(rng.uniform(0.1, 1.2)), float(rng.uniform(0.1, 100.0)), m)
+        x = rng.normal(size=(int(rng.integers(1, 300)), d))
+        hard, soft, total = gradients_reference(x, model)
+        for got, want in ((grad_hard_distortion(x, model), hard), (grad_soft_distortion(x, model), soft),
+                          (_enabled_distortion_grads(x, model, DEFAULT_FLAGS), total)):
+            assert np.array_equal(got[0], want[0])
+            assert got[1] == want[1]
 
 
 def blend_is_row_count_independent(n, k, d):
