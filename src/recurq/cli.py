@@ -77,8 +77,6 @@ def cmd_train(args) -> int:
 def cmd_encode(args) -> int:
     model = rio.load_model(args.model)
     data = rio.read_fvecs(args.input)
-    if data.shape[0] and data.shape[1] != model.dim:
-        raise DomainError(f"vector dim {data.shape[1]} does not match model dim {model.dim}")
     db = encode_database(data, model)
     rio.save_codes(db, args.out)
     if data.shape[0]:

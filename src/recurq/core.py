@@ -22,22 +22,47 @@ class DomainError(ValueError):
     """Invalid input to a quantization operation."""
 
 
-def _as_matrix(a, name: str) -> np.ndarray:
+def _as_finite(a, name: str, ndim: int = 2, dim: int | None = None) -> np.ndarray:
+    """``a`` as a float64 array of rank ``ndim`` with finite entries and, given
+    ``dim``, rows of the model's width ``dim``."""
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise DomainError(f"{name} must be a 2-D array, got shape {a.shape}")
+    if a.ndim != ndim:
+        raise DomainError(f"{name} must be a {ndim}-D array, got shape {a.shape}")
+    if dim is not None and a.shape[-1] != dim:
+        raise DomainError(f"{name} width {a.shape[-1]} does not match model dim {dim}")
     if not np.all(np.isfinite(a)):
         raise DomainError(f"{name} contains non-finite entries")
     return a
 
 
-def _as_vector(a, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 1:
-        raise DomainError(f"{name} must be a 1-D array, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise DomainError(f"{name} contains non-finite entries")
-    return a
+def _require_positive(value, name: str) -> None:
+    if not np.isfinite(value) or value <= 0:
+        raise DomainError(f"{name} must be finite and positive")
+
+
+def _require_seed(seed: int) -> None:
+    if not 0 <= seed < 2 ** 64:
+        raise DomainError(f"seed {seed} must be in [0, 2^64)")
+
+
+def _require_level(m: int, levels: int) -> int:
+    """``m`` when it lies in [1, ``levels``]."""
+    if not 1 <= m <= levels:
+        raise DomainError(f"level {m} out of range [1, {levels}]")
+    return m
+
+
+def _require_sub_indices(codes: np.ndarray, k: int) -> None:
+    if codes.size and (codes.min() < 0 or codes.max() >= k):
+        raise DomainError(f"sub-index out of range [0, {k})")
+
+
+def _bits_for_k(k: int, name: str = "K", least: int = 2) -> int:
+    """Bits of one sub-index at codebook size ``k``, a power of two >= ``least``.
+    Stored codes need K >= 2; a model alone may hold one codeword."""
+    if k < least or k & (k - 1):
+        raise DomainError(f"{name}={k} must be a power of two >= {least}")
+    return k.bit_length() - 1
 
 
 @dataclass
@@ -53,7 +78,7 @@ class FeatureMatrix:
     multi_labels: list[frozenset[int]] | None = None
 
     def __post_init__(self):
-        self.data = _as_matrix(self.data, "data")
+        self.data = _as_finite(self.data, "data")
         if self.data.shape[0] < 1 or self.data.shape[1] < 1:
             raise DomainError("feature matrix must be at least 1x1")
         if self.labels is not None:
@@ -95,18 +120,14 @@ class RqModel:
     levels: int
 
     def __post_init__(self):
-        cb = _as_matrix(self.codebook, "codebook")
+        cb = _as_finite(self.codebook, "codebook")
         object.__setattr__(self, "codebook", cb)
         cb.setflags(write=False)
-        k, d = cb.shape
-        if k < 1 or (k & (k - 1)) != 0:
-            raise DomainError(f"codebook size {k} must be a power of two")
-        if d < 1:
+        _bits_for_k(cb.shape[0], least=1)
+        if cb.shape[1] < 1:
             raise DomainError("codebook dimension must be >= 1")
-        if not np.isfinite(self.scale) or self.scale <= 0:
-            raise DomainError("scale must be finite and positive")
-        if not np.isfinite(self.gamma) or self.gamma <= 0:
-            raise DomainError("gamma must be finite and positive")
+        _require_positive(self.scale, "scale")
+        _require_positive(self.gamma, "gamma")
         if self.levels < 1:
             raise DomainError("levels must be >= 1")
 
@@ -182,10 +203,8 @@ class QuantTrace:
 
 def _level_step(x, codebook, gamma: float | None = None) -> _Level:
     """One level of :func:`_recurrence` for the vector ``x`` against ``codebook``."""
-    x = _as_vector(x, "x")
-    cb = _as_matrix(codebook, "codebook")
-    if cb.shape[1] != x.shape[0]:
-        raise DomainError("dimension mismatch between x and codebook")
+    cb = _as_finite(codebook, "codebook")
+    x = _as_finite(x, "x", 1, cb.shape[1])
     return next(_recurrence(x[None, :], [(cb, np.einsum("kd,kd->k", cb, cb))], gamma))
 
 
@@ -201,8 +220,7 @@ def soft_quantize(x, codebook, gamma: float) -> SoftAssignment:
     Weights are exp(-gamma * ||C_k - x||) normalized over k, computed with
     max-subtraction in the exponent for stability at large gamma.
     """
-    if not np.isfinite(gamma) or gamma <= 0:
-        raise DomainError("gamma must be finite and positive")
+    _require_positive(gamma, "gamma")
     lv = _level_step(x, codebook, gamma)
     return SoftAssignment(probs=lv.probs[0], expected=lv.soft[0])
 
@@ -278,7 +296,10 @@ def _label_rows(label_sets) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(label_sets, LabelSets):
         return label_sets.labels, label_sets.owner
     sizes = np.fromiter(map(len, label_sets), dtype=np.int64, count=len(label_sets))
-    labels = np.fromiter(chain.from_iterable(label_sets), dtype=np.int64, count=int(sizes.sum()))
+    try:
+        labels = np.fromiter(chain.from_iterable(label_sets), dtype=np.int64, count=int(sizes.sum()))
+    except OverflowError:
+        raise DomainError("label ids must fit in int64") from None
     return labels, np.repeat(np.arange(len(label_sets)), sizes)
 
 
@@ -326,13 +347,14 @@ class _Forward(NamedTuple):
     soft_err: np.ndarray  # (M, N) the same for the soft sums
 
 
-def _partials(x: np.ndarray, model: RqModel):
-    """The soft-path recurrence over the rows of ``x``, one level at a time: yield
+def _partials(x: np.ndarray, books, gamma: float):
+    """The soft-path recurrence over the rows of ``x`` through ``books`` (see
+    :func:`_level_books`), one level at a time: yield
     the :class:`_Level`, the running hard and soft reconstructions and their (N,)
     Euclidean errors against ``x``. Nothing of a level is kept after the next, so
     a caller that keeps only the errors holds M*N floats, not M*N*K."""
     hard = soft = 0.0
-    for lv in _recurrence(x, _level_books(model), model.gamma):
+    for lv in _recurrence(x, books, gamma):
         hard = lv.hard + hard
         soft = lv.soft + soft
         yield lv, hard, soft, np.linalg.norm(hard - x, axis=1), np.linalg.norm(soft - x, axis=1)
@@ -343,7 +365,7 @@ def _forward(x: np.ndarray, model: RqModel) -> _Forward:
     (n, d), m = x.shape, model.levels
     fw = _Forward([], np.empty((n, m), dtype=np.int64), np.empty((m, n, d)), np.empty((m, n, d)),
                   np.empty((m, n)), np.empty((m, n)))
-    for i, (lv, hard, soft, hard_err, soft_err) in enumerate(_partials(x, model)):
+    for i, (lv, hard, soft, hard_err, soft_err) in enumerate(_partials(x, _level_books(model), model.gamma)):
         fw.levels.append(lv)
         fw.codes[:, i] = lv.idx
         fw.hard_sums[i], fw.soft_sums[i], fw.hard_err[i], fw.soft_err[i] = hard, soft, hard_err, soft_err
@@ -354,10 +376,7 @@ def encode(x, model: RqModel) -> tuple[CodeSequence, QuantTrace]:
     """Greedy recurrent encoding: at each level quantize the current residual
     against the scaled codebook, subtract the selected codeword, and shrink
     the codebook by the scale factor for the next level."""
-    x = _as_vector(x, "x")
-    if x.shape[0] != model.dim:
-        raise DomainError("input dimension does not match model")
-    fw = _forward(x[None, :], model)
+    fw = _forward(_as_finite(x, "x", 1, model.dim)[None, :], model)
     levels = fw.levels
     trace = QuantTrace(
         states=np.concatenate([lv.h for lv in levels] + [levels[-1].h - levels[-1].hard]),
@@ -372,9 +391,7 @@ def encode(x, model: RqModel) -> tuple[CodeSequence, QuantTrace]:
 
 def encode_batch(data, model: RqModel) -> np.ndarray:
     """Vectorized hard-path encoding of an N x D matrix; returns N x M codes."""
-    x = _as_matrix(data, "data")
-    if x.shape[1] != model.dim:
-        raise DomainError("input dimension does not match model")
+    x = _as_finite(data, "data", 2, model.dim)
     codes = np.empty((x.shape[0], model.levels), dtype=np.int64, order="F")  # column per level, as search scans it
     books = _level_books(model)
     for rows in _row_blocks(x.shape[0], model.k):
@@ -406,26 +423,15 @@ def _hard_errors(x: np.ndarray, codes: np.ndarray, model: RqModel) -> np.ndarray
 
 def reconstruct_hard(codes: CodeSequence, model: RqModel, m: int) -> np.ndarray:
     """Prefix reconstruction from the first ``m`` sub-indices."""
-    if not 1 <= m <= len(codes):
-        raise DomainError(f"level {m} out of range for {len(codes)}-level codes")
-    idx = codes.indices[:m]
-    if np.any(idx >= model.k):
-        raise DomainError("sub-index out of range for model codebook")
+    idx = codes.indices[:_require_level(m, len(codes))]
+    _require_sub_indices(idx, model.k)
     *_, recon = _reconstructions(idx[None, :], model)
     return recon[0]
 
 
 def reconstruct_soft(trace: QuantTrace, m: int) -> np.ndarray:
     """Sum of the first ``m`` soft partial reconstructions of a trace."""
-    if not 1 <= m <= trace.soft_partials.shape[0]:
-        raise DomainError(f"level {m} out of range for trace")
-    return trace.soft_partials[:m].sum(axis=0)
-
-
-def _bits_for_k(k: int) -> int:
-    if k < 2 or (k & (k - 1)) != 0:
-        raise DomainError(f"K={k} must be a power of two >= 2")
-    return k.bit_length() - 1
+    return trace.soft_partials[:_require_level(m, trace.soft_partials.shape[0])].sum(axis=0)
 
 
 def packed_size(m: int, k: int) -> int:
@@ -437,8 +443,7 @@ def pack_rows(codes: np.ndarray, k: int) -> np.ndarray:
     """Pack (N, M) sub-indices into (N, packed_size(M, k)) bytes, each row
     MSB-first with its final partial byte zero-padded in the low bits."""
     bits, (n, m) = _bits_for_k(k), codes.shape
-    if codes.size and (codes.min() < 0 or codes.max() >= k):
-        raise DomainError("sub-index out of range for K")
+    _require_sub_indices(codes, k)
     width = (bits + 7) // 8  # bytes per sub-index, MSB-aligned
     # C-contiguous rows: the byte view below splits each row's last axis
     words = (np.ascontiguousarray(codes, dtype=np.int64) << (8 * width - bits)).astype(f">u{width}")
@@ -472,6 +477,4 @@ def unpack_codes(data: bytes, m: int, k: int) -> CodeSequence:
 
 def slice_prefix(codes: CodeSequence, m: int) -> CodeSequence:
     """First ``m`` sub-indices; identical to encoding with an m-level model."""
-    if not 1 <= m <= len(codes):
-        raise DomainError(f"prefix length {m} out of range")
-    return CodeSequence(codes.indices[:m].copy())
+    return CodeSequence(codes.indices[:_require_level(m, len(codes))].copy())

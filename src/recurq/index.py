@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DomainError, FeatureMatrix, RqModel, _as_matrix, _as_vector, _label_rows, _level_weights, _reconstructions, _row_blocks, encode_batch
+from .core import DomainError, FeatureMatrix, RqModel, _as_finite, _label_rows, _level_weights, _reconstructions, _require_level, _require_sub_indices, _row_blocks, encode_batch
 
 _QUERY_BLOCK = 16  # queries per scan: an (N, 16) float64 distance block, 6.4 MB at N=50k
 
@@ -103,8 +103,7 @@ def database_from_codes(codes: np.ndarray, model: RqModel, ids=None) -> EncodedD
     codes = np.asfortranarray(codes)
     if codes.ndim != 2 or codes.shape[1] != model.levels or not np.issubdtype(codes.dtype, np.integer):
         raise DomainError(f"codes must be a 2-D integer array with {model.levels} columns")
-    if codes.size and (codes.min() < 0 or codes.max() >= model.k):
-        raise DomainError("sub-index out of range for K")
+    _require_sub_indices(codes, model.k)
     n = codes.shape[0]
     ids = np.arange(n, dtype=np.int64) if ids is None else np.asarray(ids, dtype=np.int64)
     if ids.shape != (n,):
@@ -126,18 +125,13 @@ def encode_database(features, model: RqModel, ids=None) -> EncodedDatabase:
 
 def build_adc_table(query, model: RqModel) -> AdcTable:
     """Per-level query-codeword dot products; row m is row 1 scaled by w^(m-1)."""
-    q = _as_vector(query, "query")
-    if q.shape[0] != model.dim:
-        raise DomainError("query dimension does not match model")
+    q = _as_finite(query, "query", 1, model.dim)
     dot_table = np.outer(_level_weights(model.scale, model.levels), model.codebook @ q)
     return AdcTable(dot_table=dot_table, query_sq_norm=float(q @ q))
 
 
 def _levels(model: RqModel, prefix_m: int | None) -> int:
-    m = model.levels if prefix_m is None else prefix_m
-    if not 1 <= m <= model.levels:
-        raise DomainError(f"prefix level {m} out of range")
-    return m
+    return _require_level(model.levels if prefix_m is None else prefix_m, model.levels)
 
 
 def _adc_scan(queries: np.ndarray, db: EncodedDatabase, m: int) -> np.ndarray:
@@ -169,7 +163,7 @@ def _distance_rows(queries: np.ndarray, db: EncodedDatabase, m: int):
 
 def adc_distances(query, db: EncodedDatabase, prefix_m: int | None = None) -> np.ndarray:
     """Squared reconstruction distances from one query to every item."""
-    return _adc_scan(_as_vector(query, "query")[None], db, _levels(db.model, prefix_m))[0]
+    return _adc_scan(_as_finite(query, "query", 1)[None], db, _levels(db.model, prefix_m))[0]
 
 
 def _top_k(dists: np.ndarray, ids: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -195,7 +189,7 @@ def search_batch(queries, db: EncodedDatabase, top_k: int, prefix_m: int | None 
     Queries are scanned in blocks of ``_QUERY_BLOCK``."""
     if top_k < 1:
         raise DomainError("top_k must be >= 1")
-    q = _as_matrix(queries, "queries")
+    q = _as_finite(queries, "queries")
     k = min(top_k, db.n)
     ids, dists = np.empty((len(q), k), dtype=np.int64), np.empty((len(q), k))
     # an empty database is scanned too: the scan checks prefix_m and the query width

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DomainError, LabelSets, RqModel, pack_rows, packed_size, unpack_rows
+from .core import DomainError, LabelSets, RqModel, _label_rows, pack_rows, packed_size, unpack_rows
 from .index import EncodedDatabase, database_from_codes
 
 MODEL_MAGIC = b"DRQM"
@@ -113,16 +113,15 @@ def load_codes(path, model: RqModel) -> EncodedDatabase:
 
 
 def write_fvecs(data: np.ndarray, path) -> None:
+    """Write the (N, D+1) ``<f4`` records :func:`read_fvecs` parses: column 0
+    holds D as ``<i4``, the rest the row's values."""
     data = np.asarray(data, dtype=np.float32)
     if data.ndim != 2:
         raise DomainError("fvecs data must be 2-D")
-    n, d = data.shape
-    out = bytearray()
-    dim_bytes = struct.pack("<i", d)
-    for row in data:
-        out += dim_bytes
-        out += row.astype("<f4").tobytes()
-    _atomic_write(path, bytes(out))
+    records = np.empty((data.shape[0], data.shape[1] + 1), dtype="<f4")
+    records.view("<i4")[:, 0] = data.shape[1]
+    records[:, 1:] = data
+    _atomic_write(path, records.tobytes())
 
 
 def read_fvecs(path) -> np.ndarray:
@@ -146,16 +145,16 @@ def read_fvecs(path) -> np.ndarray:
 
 
 def write_labels(label_sets, path) -> None:
-    """Write per-row label sets; every id must lie in [0, 2^31), as :func:`read_labels` requires."""
-    out = bytearray()
-    for s in label_sets:
-        ids = sorted(int(i) for i in s)
-        if ids and not (ids[0] >= 0 and ids[-1] < 2 ** 31):
-            raise DomainError(f"label ids must be in [0, 2^31), got {ids[0]}..{ids[-1]}")
-        out += struct.pack("<i", len(ids))
-        for i in ids:
-            out += struct.pack("<i", i)
-    _atomic_write(path, bytes(out))
+    """Write per-row label sets as :func:`read_labels` parses them: each row's
+    ``<i4`` count, then its ids in ascending order. Every id must lie in
+    [0, 2^31); nothing is written otherwise."""
+    labels, owner = _label_rows(label_sets)
+    if labels.size and (labels.min() < 0 or labels.max() >= 2 ** 31):
+        raise DomainError(f"label ids must be in [0, 2^31), got {labels.min()}..{labels.max()}")
+    order = np.lexsort((labels, owner))
+    sizes = np.bincount(owner, minlength=len(label_sets))
+    starts = np.cumsum(sizes) - sizes  # where each row's ids begin; its count word goes there
+    _atomic_write(path, np.insert(labels[order], starts, sizes).astype("<i4").tobytes())
 
 
 def read_labels(path) -> LabelSets:

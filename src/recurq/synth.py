@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DomainError, FeatureMatrix
+from .core import DomainError, FeatureMatrix, _require_seed
 
 
 def synth_dataset(n: int, d: int, clusters: int, spread: float, seed: int) -> FeatureMatrix:
@@ -15,8 +15,7 @@ def synth_dataset(n: int, d: int, clusters: int, spread: float, seed: int) -> Fe
         raise DomainError("need n >= clusters >= 1 and d >= 1")
     if spread < 0:
         raise DomainError("spread must be >= 0")
-    if not 0 <= seed < 2 ** 64:
-        raise DomainError(f"seed {seed} must be in [0, 2^64)")
+    _require_seed(seed)
     rng = np.random.default_rng(np.uint64(seed))
     centers = rng.normal(size=(clusters, d))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)

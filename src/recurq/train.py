@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DomainError, FeatureMatrix, RqModel, _as_matrix, _Forward, _forward, _hard_errors, _level_weights, _partials, _row_blocks, _sq_distances
+from .core import DomainError, FeatureMatrix, RqModel, _as_finite, _bits_for_k, _Forward, _forward, _hard_errors, _level_books, _level_weights, _partials, _require_positive, _require_seed, _row_blocks, _sq_distances
 
 _EPS = 1e-30
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPSILON = 0.9, 0.999, 1e-8
@@ -33,7 +33,7 @@ DEFAULT_FLAGS = frozenset(DISTORTION_FLAGS)
 class TrainConfig:
     """Training hyperparameters. Each option is defined, defaulted and checked
     here only; ``recurq train`` takes its defaults from these fields. ``k`` is a
-    power of two and ``m`` >= 1, as :class:`RqModel` requires; ``gamma`` and ``lr``
+    power of two >= 2, as code files require, and ``m`` >= 1; ``gamma`` and ``lr``
     are finite and positive; ``seed`` lies in [0, 2^64).
 
     ``loss_flags`` is a nonempty subset of ``DISTORTION_FLAGS``; an empty set
@@ -62,15 +62,12 @@ class TrainConfig:
     init: str = "random"  # codebook init: "random" | "kmeans"
 
     def __post_init__(self):
-        if self.k < 1 or self.k & (self.k - 1):
-            raise DomainError(f"k={self.k} must be a power of two")
+        _bits_for_k(self.k, "k")
         if self.m < 1:
             raise DomainError("m must be >= 1")
-        for name, value in (("gamma", self.gamma), ("lr", self.lr)):
-            if not np.isfinite(value) or value <= 0:
-                raise DomainError(f"{name} must be finite and positive")
-        if not 0 <= self.seed < 2 ** 64:
-            raise DomainError(f"seed {self.seed} must be in [0, 2^64)")
+        _require_positive(self.gamma, "gamma")
+        _require_positive(self.lr, "lr")
+        _require_seed(self.seed)
         if self.batch_size < 1:
             raise DomainError("batch_size must be >= 1")
         if self.epochs_stage2 < 0 or self.epochs_stage3 < 0:
@@ -91,7 +88,7 @@ class LabelEmbeddings:
     vectors: np.ndarray
 
     def __post_init__(self):
-        self.vectors = _as_matrix(self.vectors, "embeddings")
+        self.vectors = _as_finite(self.vectors, "embeddings")
         norms = np.linalg.norm(self.vectors, axis=1)
         if np.any(norms == 0):
             raise DomainError("embedding rows must be nonzero")
@@ -113,11 +110,9 @@ class DistortionReport:
 def _batch_data(batch, dim: int | None = None) -> np.ndarray:
     """The batch as a finite, nonempty (N, dim) float64 matrix."""
     x = batch.data if isinstance(batch, FeatureMatrix) else np.asarray(batch, dtype=np.float64)
-    x = _as_matrix(x[None, :] if x.ndim == 1 else x, "batch")
+    x = _as_finite(x[None, :] if x.ndim == 1 else x, "batch", 2, dim)
     if x.shape[0] == 0:
         raise DomainError("batch must be nonempty")
-    if dim is not None and x.shape[1] != dim:
-        raise DomainError(f"batch width {x.shape[1]} does not match model dim {dim}")
     return x
 
 
@@ -133,8 +128,9 @@ def distortion_losses(batch, model: RqModel) -> DistortionReport:
     x = _batch_data(batch, model.dim)
     hard_err = np.empty((model.levels, x.shape[0]))
     soft_err = np.empty_like(hard_err)
+    books = _level_books(model)
     for rows in _row_blocks(x.shape[0], model.k):
-        for m, (*_, hard_row, soft_row) in enumerate(_partials(x[rows], model)):
+        for m, (*_, hard_row, soft_row) in enumerate(_partials(x[rows], books, model.gamma)):
             hard_err[m, rows] = hard_row
             soft_err[m, rows] = soft_row
     hard_per = hard_err.mean(axis=1)

@@ -19,6 +19,7 @@ from recurq import (
     unpack_codes,
 )
 from recurq.core import _forward, _level_books, _recurrence, pack_rows, unpack_rows
+from recurq.index import build_adc_table, database_from_codes, search
 
 
 def random_model(rng, k=16, d=8, m=3, gamma=5.0):
@@ -110,9 +111,9 @@ class TestSoftQuantize:
             assert abs(sa.probs.sum() - 1.0) <= 1e-9
 
     def test_rejects_bad_gamma(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="gamma must be finite and positive"):
             soft_quantize([0.0], [[1.0]], gamma=0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="gamma must be finite and positive"):
             soft_quantize([0.0], [[1.0]], gamma=-2.0)
 
 
@@ -197,7 +198,7 @@ class TestEncode:
 
     def test_dimension_mismatch(self):
         model = RqModel([[1.0, 0.0], [0.0, 1.0]], 0.5, 20.0, 2)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="x width 3 does not match model dim 2"):
             encode([1.0, 2.0, 3.0], model)
 
     def test_batch_matches_single(self):
@@ -266,7 +267,7 @@ class TestReconstruct:
 
     def test_index_out_of_range(self):
         model = RqModel([[1.0, 0.0], [0.0, 1.0]], 0.5, 20.0, 2)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"sub-index out of range \[0, 2\)"):
             reconstruct_hard(CodeSequence(np.array([0, 5])), model, 2)
 
     def test_soft_approaches_hard_with_gamma(self):
@@ -294,7 +295,7 @@ class TestReconstruct:
     def test_soft_level_out_of_range(self):
         model = RqModel([[1.0, 0.0], [0.0, 1.0]], 0.5, 20.0, 2)
         _, trace = encode([0.5, 0.5], model)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"level 3 out of range \[1, 2\]"):
             reconstruct_soft(trace, 3)
 
 
@@ -387,7 +388,7 @@ def test_byte_aligned_unpack_rows(k, n):
 
 def test_pack_rows_rejects_out_of_range():
     for bad in (np.array([[0, 16]]), np.array([[-1, 0]])):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"sub-index out of range \[0, 16\)"):
             pack_rows(bad, 16)
 
 
@@ -410,7 +411,7 @@ class TestSlicePrefix:
                 assert np.array_equal(slice_prefix(full, m).indices, short.indices)
 
     def test_out_of_range(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"level 3 out of range \[1, 2\]"):
             slice_prefix(CodeSequence(np.array([1, 2])), 3)
 
     def test_prefix_equals_reencode_above_unit_scale(self):
@@ -440,13 +441,13 @@ class TestModelInvariants:
 
     def test_rejects_bad_scale_gamma(self):
         cb = [[1.0, 0.0], [0.0, 1.0]]
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="scale must be finite and positive"):
             RqModel(cb, -0.5, 20.0, 1)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="gamma must be finite and positive"):
             RqModel(cb, 0.5, 0.0, 1)
 
     def test_rejects_non_power_of_two_codebook(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="K=3 must be a power of two >= 1"):
             RqModel(np.zeros((3, 2)), 0.5, 20.0, 1)
 
     def test_rejects_zero_dimension(self):
@@ -467,3 +468,32 @@ def test_pack_rows_any_memory_layout(bits, m, n, layout, data):
     packed = pack_rows(codes, k)
     assert packed.tobytes() == reference_pack_rows(np.ascontiguousarray(codes), k)
     assert np.array_equal(unpack_rows(packed, m, k), codes)
+
+
+
+def _rule_cases():
+    model = RqModel(np.eye(4), 0.5, 5.0, 2)
+    db = database_from_codes(np.zeros((3, 2), dtype=np.int64), model)
+    code = CodeSequence(np.array([1, 2]))
+    _, trace = encode(np.ones(4), model)
+    width = "width 3 does not match model dim 4"
+    return {
+        "encode_batch-width": (lambda: encode_batch(np.ones((2, 3)), model), f"data {width}"),
+        "hard_quantize-width": (lambda: hard_quantize(np.ones(3), np.eye(4)), f"x {width}"),
+        "build_adc_table-width": (lambda: build_adc_table(np.ones(3), model), f"query {width}"),
+        "search-width": (lambda: search(np.ones(3), db, 1), f"query {width}"),
+        "reconstruct_hard-level": (lambda: reconstruct_hard(code, model, 0), r"level 0 out of range \[1, 2\]"),
+        "reconstruct_soft-level": (lambda: reconstruct_soft(trace, 0), r"level 0 out of range \[1, 2\]"),
+        "slice_prefix-level": (lambda: slice_prefix(code, 0), r"level 0 out of range \[1, 2\]"),
+        "packed_size-k": (lambda: packed_size(2, 1), "K=1 must be a power of two >= 2"),
+    }
+
+
+RULE_CASES = _rule_cases()
+
+
+@pytest.mark.parametrize("call, message", RULE_CASES.values(), ids=list(RULE_CASES))
+def test_entry_points_share_each_input_rule(call, message):
+    # every entry point reports a rule in the words of the rule's one home
+    with pytest.raises(DomainError, match=message):
+        call()

@@ -230,7 +230,7 @@ class TestSearch:
         rng = np.random.default_rng(52)
         model = random_model(rng, m=2)
         db = encode_database(rng.normal(size=(5, 8)), model)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"level 3 out of range \[1, 2\]"):
             search(rng.normal(size=8), db, top_k=2, prefix_m=3)
 
     def test_tie_break_by_ascending_id(self):
@@ -337,7 +337,7 @@ def test_search_batch_contract():
         for bad in ({"top_k": 0}, {"top_k": 3, "prefix_m": 3}):
             with pytest.raises(DomainError):
                 search_batch(queries, target, **bad)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="query width 4 does not match model dim 8"):
             search_batch(queries[:, :4], target, 3)
 
 

@@ -233,6 +233,20 @@ class TestVectorFiles:
         back = read_fvecs(path)
         assert np.array_equal(back, data.astype(np.float64))
 
+    def test_writers_match_per_row_struct_layout(self, tmp_path):
+        # each record packed on its own: an i32 dimension then f32 values; an
+        # i32 count then the row's ids in ascending order
+        rng = np.random.default_rng(68)
+        for n, d in ((0, 3), (1, 1), (9, 5)):
+            data = rng.normal(size=(n, d))
+            write_fvecs(data, tmp_path / "v.fvecs")
+            expected = b"".join(struct.pack(f"<i{d}f", d, *row) for row in data.astype(np.float32).tolist())
+            assert (tmp_path / "v.fvecs").read_bytes() == expected
+        for sets in ([], [frozenset()], [frozenset((9, 0, 4)), frozenset(), frozenset((2**31 - 1,)), frozenset((3, 1))]):
+            write_labels(sets, tmp_path / "l.bin")
+            expected = b"".join(struct.pack(f"<i{len(s)}i", len(s), *sorted(s)) for s in sets)
+            assert (tmp_path / "l.bin").read_bytes() == expected
+
     def test_labels_round_trip(self, tmp_path):
         sets = [frozenset((1, 2)), frozenset((0,)), frozenset()]
         path = tmp_path / "l.bin"
@@ -258,6 +272,11 @@ class TestVectorFiles:
         with pytest.raises(DomainError, match=r"label ids must be in \[0, 2\^31\)"):
             write_labels([frozenset((1,)), frozenset((3, bad))], path)
         assert list(tmp_path.iterdir()) == []  # neither the file nor a temp file
+
+    def test_labels_beyond_int64_not_written(self, tmp_path):
+        with pytest.raises(DomainError, match="label ids must fit in int64"):
+            write_labels([frozenset((2**63,))], tmp_path / "l.bin")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("raw", [
         struct.pack("<3i", 2, 4, -3),
@@ -408,6 +427,16 @@ class TestCli:
         db = load_codes(codes_path, load_model(model_path))
         assert db.n == 0
 
+    def test_encode_width_mismatch_exit_code(self, tmp_path, capsys):
+        model_path = tmp_path / "m.drqm"
+        save_model(make_model(np.random.default_rng(69), d=6), model_path)
+        vec = tmp_path / "wide.fvecs"
+        write_fvecs(np.ones((3, 7)), vec)
+        rc = main(["encode", "--model", str(model_path), "--input", str(vec), "--out", str(tmp_path / "c.drqc")])
+        assert rc == 2
+        assert "data width 7 does not match model dim 6" in capsys.readouterr().err
+        assert not (tmp_path / "c.drqc").exists()
+
     def test_reconstruct_consistency(self, tmp_path, capsys):
         vec, _ = self._synth(tmp_path, n=200)
         model_path = tmp_path / "m.drqm"
@@ -535,11 +564,13 @@ class TestCli:
         (["--loss-flags", ","], "loss_flags is empty"),
         (["--epochs-stage2", "-1", "--epochs-stage3", "-3"], "epoch counts must be >= 0"),
         (["--k", "3"], "k=3 must be a power of two"),
+        (["--k", "1"], "k=1 must be a power of two >= 2"),
         (["--m", "0"], "m must be >= 1"),
         (["--gamma", "0"], "gamma must be finite and positive"),
         (["--lr", "nan"], "lr must be finite and positive"),
         (["--seed", "-1"], "seed -1 must be in [0, 2^64)"),
-    ], ids=["no-flags", "negative-epochs", "k-not-power-of-two", "m-zero", "gamma-zero", "lr-nan", "seed-negative"])
+    ], ids=["no-flags", "negative-epochs", "k-not-power-of-two", "k-one", "m-zero", "gamma-zero", "lr-nan",
+            "seed-negative"])
     def test_bad_train_options_fail_before_reading_input(self, tmp_path, capsys, options, reason):
         rc = main(["train", "--input", str(tmp_path / "missing.fvecs"), "--k", "8", "--m", "1",
                    *options, "--out", str(tmp_path / "m.drqm")])

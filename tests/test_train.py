@@ -442,6 +442,7 @@ class TestTrain:
         ({"epochs_stage3": -3}, "epoch counts must be >= 0"),
         ({"k": 3}, "k=3 must be a power of two"),
         ({"k": 0}, "k=0 must be a power of two"),
+        ({"k": 1}, "k=1 must be a power of two >= 2"),
         ({"m": 0}, "m must be >= 1"),
         ({"gamma": 0.0}, "gamma must be finite and positive"),
         ({"gamma": float("inf")}, "gamma must be finite and positive"),
@@ -449,7 +450,7 @@ class TestTrain:
         ({"lr": -0.1}, "lr must be finite and positive"),
         ({"seed": -1}, r"seed -1 must be in \[0, 2\^64\)"),
         ({"seed": 2 ** 64}, "must be in"),
-    ], ids=["no-flags", "stage2-negative", "stage3-negative", "k-not-power-of-two", "k-zero", "m-zero",
+    ], ids=["no-flags", "stage2-negative", "stage3-negative", "k-not-power-of-two", "k-zero", "k-one", "m-zero",
             "gamma-zero", "gamma-inf", "lr-nan", "lr-negative", "seed-negative", "seed-too-large"])
     def test_bad_config_rejected(self, bad, match):
         with pytest.raises(DomainError, match=match):
