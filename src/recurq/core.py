@@ -3,6 +3,13 @@ recurrence and its soft-path forward, reconstruction, and code packing.
 
 All operations here are pure functions over immutable inputs. Distances are
 computed in float64; argmin ties break toward the smallest index.
+
+Hard encoding (:func:`encode_batch`) runs one (rows, D) x (D, K) product per
+row block: every level scales one codebook, so a residual's dot products are
+the input's minus gathered rows of the K x K Gram table C C^T. Above
+``_GRAM_MAX_K`` codewords the table would not fit, and each level runs
+:func:`_recurrence`'s product against the residual, as the soft path does.
+Reconstructions gather rows of the prescaled level books w^(m-1) C.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 _BLOCK_CELLS = 1 << 16  # entries per (rows, width) block temporary: 256 rows at K=256, 1024 at D=64
+_GRAM_MAX_K = 1024  # largest K whose K x K float64 Gram table encode_batch builds: 8 MB
 
 
 class DomainError(ValueError):
@@ -232,10 +240,14 @@ def _level_weights(scale: float, m: int) -> list[float]:
     return [scale ** i for i in range(m)]
 
 
+def _scaled_books(model: RqModel, m: int) -> list[np.ndarray]:
+    """The shared codebook scaled for each of the first ``m`` levels: w^0 C .. w^(m-1) C."""
+    return [w * model.codebook for w in _level_weights(model.scale, m)]
+
+
 def _level_books(model: RqModel) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-level ``(w^(m-1) * C, squared row norms)`` of the shared codebook."""
-    books = [w * model.codebook for w in _level_weights(model.scale, model.levels)]
-    return [(scaled, np.einsum("kd,kd->k", scaled, scaled)) for scaled in books]
+    return [(scaled, np.einsum("kd,kd->k", scaled, scaled)) for scaled in _scaled_books(model, model.levels)]
 
 
 class _Level(NamedTuple):
@@ -390,33 +402,61 @@ def encode(x, model: RqModel) -> tuple[CodeSequence, QuantTrace]:
 
 
 def encode_batch(data, model: RqModel) -> np.ndarray:
-    """Vectorized hard-path encoding of an N x D matrix; returns N x M codes."""
+    """Vectorized hard-path encoding of an N x D matrix; returns N x M codes.
+
+    Up to K = ``_GRAM_MAX_K`` it runs one (rows, D) x (D, K) product per row
+    block and one K x K Gram table per call; at larger K each level runs
+    :func:`_recurrence`'s own product against the residual."""
     x = _as_finite(data, "data", 2, model.dim)
     codes = np.empty((x.shape[0], model.levels), dtype=np.int64, order="F")  # column per level, as search scans it
-    books = _level_books(model)
+    if model.k > _GRAM_MAX_K:
+        books = _level_books(model)
+        for rows in _row_blocks(x.shape[0], model.k):
+            for i, lv in enumerate(_recurrence(x[rows], books)):
+                codes[rows, i] = lv.idx
+        return codes
+    # ||h - w c_k||^2 = ||h||^2 - 2w (h.c_k - w ||c_k||^2 / 2), so level m takes the
+    # argmin of w ||c_k||^2 / 2 - h.c_k. The shared codebook makes h.c_k a row
+    # update of the input's: h.c_k = x.c_k - sum_{j<m} w^j G[idx_j, k], G = C C^T.
+    # Ties: the product form clamps d2 at 0, so codewords whose rounded distance
+    # is <= 0 tie to the smallest index; only codewords within rounding of the
+    # residual get there. Identical codewords have identical columns in x C^T and
+    # G, so here too they score alike and tie to the smallest index; two distinct
+    # codewords that close tie within rounding on either form.
+    cb = model.codebook
+    gram = cb @ cb.T
+    weights = _level_weights(model.scale, model.levels)
+    sq = np.einsum("kd,kd->k", cb, cb)
+    halves = [(0.5 * w) * sq for w in weights]
     for rows in _row_blocks(x.shape[0], model.k):
-        for i, lv in enumerate(_recurrence(x[rows], books)):
-            codes[rows, i] = lv.idx
+        cross = x[rows] @ cb.T  # (rows, K): h.c_k, updated level by level
+        for i, (w, half) in enumerate(zip(weights, halves)):
+            idx = np.argmin(half - cross, axis=1)
+            codes[rows, i] = idx
+            if i + 1 < model.levels:
+                step = np.take(gram, idx, axis=0)
+                step *= w
+                cross -= step
     return codes
 
 
-def _reconstructions(codes: np.ndarray, model: RqModel):
+def _reconstructions(codes: np.ndarray, books: list[np.ndarray]):
     """Yield the m-level reconstruction of every row of the (N, L) ``codes`` for
-    m = 1..L, as one (N, D) array updated in place: level m adds w^(m-1) * C at
-    the level's sub-index, in level order, as the encoder's own running sum does.
-    L may exceed ``model.levels``."""
-    recon = np.zeros((codes.shape[0], model.dim))
-    for i, w in enumerate(_level_weights(model.scale, codes.shape[1])):
-        recon += w * model.codebook[codes[:, i]]
+    m = 1..L, as one (N, D) array updated in place: level m adds the row of
+    ``books[m-1]`` (see :func:`_scaled_books`) at the level's sub-index, in level
+    order, as the encoder's own running sum does."""
+    recon = np.zeros((codes.shape[0], books[0].shape[1]))
+    for i in range(codes.shape[1]):
+        recon += np.take(books[i], codes[:, i], axis=0)
         yield recon
 
 
 def _hard_errors(x: np.ndarray, codes: np.ndarray, model: RqModel) -> np.ndarray:
     """(L,) mean Euclidean error of each level's reconstruction of ``codes``
     against the rows of ``x``: summed over row blocks, then divided by N."""
-    err = np.zeros(codes.shape[1])
+    err, books = np.zeros(codes.shape[1]), _scaled_books(model, codes.shape[1])
     for rows in _row_blocks(x.shape[0], model.dim):
-        for m, recon in enumerate(_reconstructions(codes[rows], model)):
+        for m, recon in enumerate(_reconstructions(codes[rows], books)):
             err[m] += np.linalg.norm(recon - x[rows], axis=1).sum()
     return err / x.shape[0]
 
@@ -425,7 +465,7 @@ def reconstruct_hard(codes: CodeSequence, model: RqModel, m: int) -> np.ndarray:
     """Prefix reconstruction from the first ``m`` sub-indices."""
     idx = codes.indices[:_require_level(m, len(codes))]
     _require_sub_indices(idx, model.k)
-    *_, recon = _reconstructions(idx[None, :], model)
+    *_, recon = _reconstructions(idx[None, :], _scaled_books(model, m))
     return recon[0]
 
 

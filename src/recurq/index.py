@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DomainError, FeatureMatrix, RqModel, _as_finite, _label_rows, _level_weights, _reconstructions, _require_level, _require_sub_indices, _row_blocks, encode_batch
+from .core import DomainError, FeatureMatrix, RqModel, _as_finite, _label_rows, _level_weights, _reconstructions, _require_level, _require_sub_indices, _row_blocks, _scaled_books, encode_batch
 
 _QUERY_BLOCK = 16  # queries per scan: an (N, 16) float64 distance block, 6.4 MB at N=50k
 
@@ -91,7 +91,7 @@ class EvalReport:
 
 def _prefix_reconstructions(codes: np.ndarray, model: RqModel, m: int) -> np.ndarray:
     """(N, D) m-level reconstructions of the rows of ``codes``."""
-    *_, recon = _reconstructions(codes[:, :m], model)
+    *_, recon = _reconstructions(codes[:, :m], _scaled_books(model, m))
     return recon
 
 
@@ -109,17 +109,19 @@ def database_from_codes(codes: np.ndarray, model: RqModel, ids=None) -> EncodedD
     if ids.shape != (n,):
         raise DomainError("ids length must match number of rows")
     # column-major, so the column a query of any prefix length reads is contiguous
-    norms = np.empty((n, model.levels), order="F")
+    norms, books = np.empty((n, model.levels), order="F"), _scaled_books(model, model.levels)
     for rows in _row_blocks(n, model.dim):
-        for m, recon in enumerate(_reconstructions(codes[rows], model)):
+        for m, recon in enumerate(_reconstructions(codes[rows], books)):
             norms[rows, m] = np.einsum("nd,nd->n", recon, recon)
     return EncodedDatabase(codes, norms, model, ids)
 
 
 def encode_database(features, model: RqModel, ids=None) -> EncodedDatabase:
-    """Encode every row into a database holding the norms of every prefix length."""
+    """Encode every row into a database holding the norms of every prefix length.
+    Rows must have the model's width; only the width-less (0, 0) array that
+    :func:`recurq.io.read_fvecs` returns for an empty file is exempt."""
     x = features.data if isinstance(features, FeatureMatrix) else np.asarray(features, dtype=np.float64)
-    codes = np.empty((0, model.levels), dtype=np.int64) if x.size == 0 else encode_batch(x, model)
+    codes = np.empty((0, model.levels), dtype=np.int64) if x.shape == (0, 0) else encode_batch(x, model)
     return database_from_codes(codes, model, ids)
 
 

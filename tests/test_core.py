@@ -18,7 +18,8 @@ from recurq import (
     soft_quantize,
     unpack_codes,
 )
-from recurq.core import _forward, _level_books, _recurrence, pack_rows, unpack_rows
+from recurq import core
+from recurq.core import _forward, _level_books, _recurrence, _row_blocks, pack_rows, unpack_rows
 from recurq.index import build_adc_table, database_from_codes, search
 
 
@@ -238,6 +239,55 @@ class TestEncode:
         assert np.array_equal(_forward(x, model).codes, expected)
         for i in (0, 1, 64, 127, 149):
             assert np.array_equal(encode(x[i], model)[0].indices, expected[i])
+
+
+def per_level_gemm_codes(x, model):
+    """Codes from the hard path of _recurrence over _level_books, one
+    (rows, D) x (D, K) product per level and row block."""
+    codes = np.empty((x.shape[0], model.levels), dtype=np.int64)
+    books = _level_books(model)
+    for rows in _row_blocks(x.shape[0], model.k):
+        for i, lv in enumerate(_recurrence(x[rows], books)):
+            codes[rows, i] = lv.idx
+    return codes
+
+
+@settings(max_examples=150, deadline=None)
+@given(bits=st.integers(1, 10), d=st.integers(1, 24), m=st.integers(1, 8), n=st.integers(1, 90),
+       w=st.one_of(st.floats(0.05, 0.95), st.floats(1.05, 3.0)), seed=st.integers(0, 2 ** 32 - 1),
+       duplicates=st.integers(0, 3), hits=st.integers(0, 30), gram=st.booleans())
+def test_encode_batch_equals_per_level_gemm(bits, d, m, n, w, seed, duplicates, hits, gram):
+    # Rows that are codewords leave a zero residual after level 1, as serve's
+    # codebook of base rows does; duplicated codewords are exact ties. Both sides
+    # of the Gram-table size rule run: gram=False forces the per-level product.
+    rng = np.random.default_rng(seed)
+    k = 1 << bits
+    cb = rng.normal(size=(k, d))
+    for _ in range(duplicates):
+        cb[rng.integers(k)] = cb[rng.integers(k)]
+    x = rng.normal(size=(n, d))
+    x[:hits] = cb[rng.integers(k, size=min(hits, n))]
+    model = RqModel(cb, w, 5.0, m)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_GRAM_MAX_K", k if gram else k - 1)
+        assert np.array_equal(encode_batch(x, model), per_level_gemm_codes(x, model))
+
+
+def test_duplicate_codewords_tie_to_smallest_index_after_zero_residual():
+    # Non-dyadic entries: after a codeword hit the product form's residual is
+    # exactly 0, the Gram form's dot products only within rounding. The least
+    # norm is held twice (rows 1 and 6), so every later level ties.
+    rng = np.random.default_rng(15)
+    cb = rng.normal(size=(8, 5))
+    cb[1] *= 0.1
+    cb[6] = cb[1]
+    cb[3] = cb[4]
+    model = RqModel(cb, 0.3, 5.0, 3)
+    x = cb[[4, 3, 6, 1, 0]]
+    got = encode_batch(x, model)
+    assert np.array_equal(got, per_level_gemm_codes(x, model))
+    assert np.array_equal(got[:, 0], [3, 3, 1, 1, 0])
+    assert np.all(got[:, 1:] == 1)
 
 
 class TestReconstruct:

@@ -82,6 +82,22 @@ class TestEncodeDatabase:
             with pytest.raises(DomainError):
                 search(query, db, top_k=5, prefix_m=prefix_m)
 
+    def test_empty_input_of_another_width_rejected(self):
+        # the width rule holds on empty input, in encode_batch's words
+        model = RqModel(np.eye(4), 0.5, 5.0, 2)
+        with pytest.raises(DomainError, match="data width 7 does not match model dim 4"):
+            encode_database(np.empty((0, 7)), model)
+
+    def test_empty_list_rejected(self):
+        model = RqModel(np.eye(4), 0.5, 5.0, 2)
+        with pytest.raises(DomainError, match=r"data must be a 2-D array, got shape \(0,\)"):
+            encode_database([], model)
+
+    def test_widthless_empty_array_gives_empty_database(self):
+        # read_fvecs returns (0, 0) for an empty file
+        db = encode_database(np.empty((0, 0)), RqModel(np.eye(4), 0.5, 5.0, 2))
+        assert db.n == 0 and db.codes.shape == (0, 2)
+
     @pytest.mark.parametrize("codes", [
         np.array([[0, 1, -1], [2, 3, 4]]),
         np.array([[0, 1, 16], [2, 3, 4]]),
