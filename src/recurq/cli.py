@@ -16,7 +16,7 @@ import sys
 
 from . import io as rio
 from .core import DomainError, FeatureMatrix, _hard_errors
-from .index import _QUERY_BLOCK, _prefix_reconstructions, encode_database, evaluate, search_batch
+from .index import _QUERY_BLOCK, _prefix_reconstructions, encode_database, evaluate_prefixes, search_batch
 from .synth import synth_dataset
 from .train import TrainConfig, train
 
@@ -103,8 +103,24 @@ def cmd_search(args) -> int:
     return 0
 
 
+def _prefix_lengths(text, levels: int) -> list[int | None]:
+    """``eval --prefix-m``: [None] (full length) when absent, 1..M for ``all``,
+    else the comma-separated lengths; :func:`evaluate_prefixes` checks each."""
+    if text is None:
+        return [None]
+    if text.strip() == "all":
+        return list(range(1, levels + 1))
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise DomainError(f"--prefix-m takes comma-separated integers or 'all', got '{text}'") from None
+
+
 def cmd_eval(args) -> int:
     model = rio.load_model(args.model)
+    prefixes = _prefix_lengths(args.prefix_m, model.levels)
+    if args.pr_curve and len(prefixes) > 1:
+        raise DomainError("--pr-curve takes a single --prefix-m length")
     db = rio.load_codes(args.codes, model)
     data = rio.read_fvecs(args.queries)
     query_labels = rio.read_labels(args.query_labels)
@@ -116,14 +132,17 @@ def cmd_eval(args) -> int:
         precision_at = tuple(int(v) for v in args.precision_at.split(",") if v.strip()) if args.precision_at else ()
     except ValueError:
         raise DomainError(f"--precision-at takes comma-separated integers, got '{args.precision_at}'") from None
-    report = evaluate(queries, db, db_labels, args.map_cutoff, precision_at, args.prefix_m)
+    reports = evaluate_prefixes(queries, db, db_labels, args.map_cutoff, prefixes, precision_at)
     with _output(args.out) as out:
-        print(f"map@{args.map_cutoff}={report.map_at_r:.6f}", file=out)
-        for r, p in report.precision_at_r:
-            print(f"precision@{r}={p:.6f}", file=out)
+        for m, report in zip(prefixes, reports):
+            if len(prefixes) > 1:
+                print(f"prefix={m}", file=out)
+            print(f"map@{args.map_cutoff}={report.map_at_r:.6f}", file=out)
+            for r, p in report.precision_at_r:
+                print(f"precision@{r}={p:.6f}", file=out)
     if args.pr_curve:
         with open(args.pr_curve, "w") as f:
-            for rec, prec in report.pr_curve:
+            for rec, prec in reports[0].pr_curve:
                 print(f"{rec:.6f} {prec:.6f}", file=f)
     return 0
 
@@ -184,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map-cutoff", type=int, required=True)
     p.add_argument("--precision-at")
     p.add_argument("--pr-curve")
-    p.add_argument("--prefix-m", type=int, default=None)
+    p.add_argument("--prefix-m", help="a prefix length, a comma-separated list of them, or 'all'")
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)
 

@@ -12,12 +12,19 @@ One blocked scan, ``_adc_scan``, serves every caller: ``search`` and
 blocks of ``_QUERY_BLOCK`` queries (ADC as in Jégou, Douze & Schmid, TPAMI
 2011; query blocking as in Johnson, Douze & Jégou, 2017). Each query keeps
 its own lookup table, a matrix-vector product with the codebook, and the
-tables are stacked so that one gather per level and database row block reads
-every query's entry for a code. Each distance is the same float sum in the
-same order as a one-query scan, so every caller ranks bit for bit alike.
+tables are stacked and doubled once (-2 * table) so that one gather per level
+and database row block reads every query's entry for a code. Each distance is
+the same float sum in the same order as a one-query scan, so every caller
+ranks bit for bit alike.
 
 Every level shares one codebook, so a database holds the squared norms of
 all prefix reconstructions and a prefix query costs the same as a full one.
+The scan adds the levels in order, so ``evaluate_prefixes`` finishes every
+requested prefix from one pass over the codes.
+
+Ranking for evaluation sorts only the candidate rows of a query, those up to
+its farthest relevant distance, and ranks rows that tie on distance among
+those candidates alone.
 """
 
 from __future__ import annotations
@@ -136,36 +143,56 @@ def _levels(model: RqModel, prefix_m: int | None) -> int:
     return _require_level(model.levels if prefix_m is None else prefix_m, model.levels)
 
 
-def _adc_scan(queries: np.ndarray, db: EncodedDatabase, m: int) -> np.ndarray:
-    """(Q, N) squared distances from the rows of ``queries`` to every item's
-    m-level reconstruction: one contiguous row per query, which the sorts
-    and comparisons of ranking read faster than a strided column."""
+def _adc_scan(queries: np.ndarray, db: EncodedDatabase, prefixes: Sequence[int]) -> np.ndarray:
+    """(P, Q, N) squared distances from the rows of ``queries`` to every item's
+    reconstruction at each of the ascending prefix lengths ``prefixes``: one
+    contiguous row per prefix and query, which the sorts and comparisons of
+    ranking read faster than a strided column.
+
+    The levels are added in order, so after level p the accumulator holds
+    prefix p's sum. Each prefix is finished from it straight into that
+    prefix's output rows, which leaves the accumulator for the next levels,
+    with the same float operations in the same order as a scan at that prefix
+    alone, so every prefix keeps its bits.
+
+    The stacked tables are multiplied by -2 once, so the accumulator sums
+    -2 * table entries instead of being multiplied by -2 per row block.
+    Doubling is exact and commutes with rounding, so each distance keeps the
+    bits of ||q||^2 - 2 * sum + ||recon||^2 unless a doubled entry overflows.
+    That needs |w^(m-1) <q, c_k>| >= 2^1023, and then ||q||^2 or
+    ||w^(m-1) c_k||^2 is already at least 2^1023, half the largest float64."""
     tables = [build_adc_table(q, db.model) for q in queries]
-    dot = np.stack([t.dot_table[:m] for t in tables], axis=2)  # (m, K, Q): a code's entries for all queries
-    query_sq = np.array([t.query_sq_norm for t in tables])
-    dists = np.empty((len(tables), db.n))
+    dot = np.stack([t.dot_table[: prefixes[-1]] for t in tables], axis=2)  # (m, K, Q): a code's entries for all queries
+    dot *= -2.0
+    query_sq = np.array([t.query_sq_norm for t in tables])[:, None]
+    dists = np.empty((len(prefixes), len(tables), db.n))
     for rows in _row_blocks(db.n, len(tables)):
         codes = db.codes[rows]
-        acc = np.zeros((len(codes), len(tables)))
-        for i in range(m):
-            acc += np.take(dot[i], codes[:, i], axis=0)
-        # ||q||^2 - 2 * cross + ||recon||^2, the float operations of a one-query scan
-        acc *= -2.0
-        acc += query_sq
-        acc += db.prefix_sq_norms[rows, m - 1, None]
-        dists[:, rows] = acc.T
+        acc = np.take(dot[0], codes[:, 0], axis=0)
+        level = 1
+        for out, m in zip(dists, prefixes):
+            for i in range(level, m):
+                acc += np.take(dot[i], codes[:, i], axis=0)
+            level = m
+            # ||q||^2 - 2 * cross + ||recon||^2, the float operations of a one-query scan
+            finished = out[:, rows]
+            np.add(acc.T, query_sq, out=finished)
+            finished += db.prefix_sq_norms[rows, m - 1]
     return dists
 
 
-def _distance_rows(queries: np.ndarray, db: EncodedDatabase, m: int):
-    """Each query's (N,) distances in query order, scanned ``_QUERY_BLOCK`` queries at a time."""
-    for start in range(0, len(queries), _QUERY_BLOCK):
-        yield from _adc_scan(queries[start : start + _QUERY_BLOCK], db, m)
+def _distance_rows(queries: np.ndarray, db: EncodedDatabase, prefixes: Sequence[int]):
+    """Each query's (P, N) distances at the ascending ``prefixes``, in query
+    order. A block scans ``_QUERY_BLOCK // P`` queries (at least one), so its
+    distance block stays near ``_QUERY_BLOCK`` rows of N."""
+    step = max(1, _QUERY_BLOCK // len(prefixes))
+    for start in range(0, len(queries), step):
+        yield from _adc_scan(queries[start : start + step], db, prefixes).swapaxes(0, 1)
 
 
 def adc_distances(query, db: EncodedDatabase, prefix_m: int | None = None) -> np.ndarray:
     """Squared reconstruction distances from one query to every item."""
-    return _adc_scan(_as_finite(query, "query", 1)[None], db, _levels(db.model, prefix_m))[0]
+    return _adc_scan(_as_finite(query, "query", 1)[None], db, (_levels(db.model, prefix_m),))[0, 0]
 
 
 def _top_k(dists: np.ndarray, ids: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -195,7 +222,7 @@ def search_batch(queries, db: EncodedDatabase, top_k: int, prefix_m: int | None 
     k = min(top_k, db.n)
     ids, dists = np.empty((len(q), k), dtype=np.int64), np.empty((len(q), k))
     # an empty database is scanned too: the scan checks prefix_m and the query width
-    for j, row in enumerate(_distance_rows(q, db, _levels(db.model, prefix_m))):
+    for j, (row,) in enumerate(_distance_rows(q, db, (_levels(db.model, prefix_m),))):
         if k:
             ids[j], dists[j] = _top_k(row, db.ids, k)
     return ids, dists
@@ -213,34 +240,45 @@ def average_precision(relevant: np.ndarray, total_relevant: int, r_cutoff: int) 
 
 
 def _relevant_ranks(dists: np.ndarray, ids: np.ndarray, relevant: np.ndarray) -> np.ndarray:
-    """Sorted 0-based ranks of the ``relevant`` rows in the order of ascending
-    distance, ties by ascending id (the order of ``np.lexsort((ids, dists))``),
-    without sorting every row by (distance, id).
+    """Ascending 0-based ranks of the ``relevant`` rows in the order of
+    ascending distance, ties by ascending id (the order of
+    ``np.lexsort((ids, dists))``), without sorting every row by (distance, id).
 
-    Only the rows up to the farthest relevant distance are sorted: a row
-    farther than every relevant row ranks before none of them. When a relevant
-    row is the farthest row, that is a full sort plus one comparison pass."""
-    rel_dists = dists[relevant]
+    A row's rank counts the rows at a smaller distance plus the rows at the
+    same distance that come first: a smaller id, or the same id in an earlier
+    row. Only the candidate rows, those up to the farthest relevant distance,
+    can come first, so only they are sorted and searched. When a relevant row
+    is the farthest row, the candidates are every row."""
+    rel_dists = np.sort(dists[relevant])
     if rel_dists.size == 0:
         return np.empty(0, dtype=np.intp)
-    ordered = np.sort(dists[dists <= rel_dists.max()])
-    ranks = np.searchsorted(ordered, rel_dists, "left")
+    cand = np.flatnonzero(dists <= rel_dists[-1])
+    cand_dists = dists[cand]
+    ordered = np.sort(cand_dists)
+    ranks = np.searchsorted(ordered, rel_dists, "left")  # rows at a smaller distance
     tied = np.searchsorted(ordered, rel_dists, "right") - ranks > 1
     if not tied.any():
-        return np.sort(ranks)
-    # every row at a distance some tied relevant row has, sorted by (distance, id)
+        return ranks
     # the distinct tied distances, ascending; np.unique would do, but its first
     # call in a process imports numpy.ma (10-15 ms)
-    values = np.sort(rel_dists[tied])
+    values = rel_dists[tied]
     values = values[np.concatenate(([True], values[1:] != values[:-1]))]
-    window = np.flatnonzero((dists >= values[0]) & (dists <= values[-1]))
-    members = window[values[np.searchsorted(values, dists[window])] == dists[window]]
-    members = members[np.lexsort((ids[members], dists[members]))]
-    member_dists = dists[members]
-    keep = relevant[members]
-    in_group = np.arange(members.size) - np.searchsorted(member_dists, member_dists, "left")
-    ranks_tied = np.searchsorted(ordered, member_dists[keep], "left") + in_group[keep]
-    return np.sort(np.concatenate((ranks[~tied], ranks_tied)))
+    first = np.searchsorted(ordered, values, "left")
+    size = np.searchsorted(ordered, values, "right") - first
+    # the sorted positions of every candidate at a tied distance, which are also
+    # their ranks once each distance's candidates are in (id, row) order
+    pos = np.arange(size.sum()) + np.repeat(first - (np.cumsum(size) - size), size)
+    # each tied distance's candidates in row order: one int sort of group * S + candidate index
+    key = np.repeat(np.arange(values.size) * cand.size, size) + np.argsort(cand_dists)[pos]
+    key.sort()
+    group, at = np.divmod(key, cand.size)
+    members = cand[at]
+    member_ids = ids[members]
+    if np.any((member_ids[1:] < member_ids[:-1]) & (group[1:] == group[:-1])):
+        # ids do not ascend with the rows: sort by id within each distance (stable, so rows break equal ids)
+        members = members[np.lexsort((member_ids, group))]
+    ranks[tied] = pos[relevant[members]]
+    return ranks
 
 
 def evaluate(
@@ -252,7 +290,23 @@ def evaluate(
     prefix_m: int | None = None,
 ) -> EvalReport:
     """Retrieval quality over a labeled query set; an item is relevant to a
-    query when they share at least one label."""
+    query when they share at least one label. The one-prefix case of
+    :func:`evaluate_prefixes`."""
+    return evaluate_prefixes(queries, db, db_labels, r_cutoff, (prefix_m,), precision_at)[0]
+
+
+def evaluate_prefixes(
+    queries: FeatureMatrix,
+    db: EncodedDatabase,
+    db_labels: Sequence[frozenset[int]],
+    r_cutoff: int,
+    prefixes: Sequence[int | None],
+    precision_at: tuple[int, ...] = (),
+) -> list[EvalReport]:
+    """One report per entry of ``prefixes`` (a prefix length, or None for full
+    length), each equal to ``evaluate(..., prefix_m=m)``, from one scan that
+    finishes every prefix along the way. Each query's relevant rows are found
+    once for all prefixes."""
     if db.n == 0:
         raise DomainError("evaluate needs a nonempty database: every metric over zero items is undefined")
     if r_cutoff < 1:
@@ -263,20 +317,25 @@ def evaluate(
         raise DomainError("queries must carry labels for evaluation")
     if len(db_labels) != db.n:
         raise DomainError("db_labels length must match database size")
+    levels = [_levels(db.model, m) for m in prefixes]
+    if not levels:
+        raise DomainError("prefixes must name at least one prefix length")
+    scanned = sorted(set(levels))
     n = db.n
-    m = _levels(db.model, prefix_m)
     labels, owner = _label_rows(db_labels)
     head = min(r_cutoff, n)
-    ap_values, ranks = [], []
-    for q_set, dists in zip(queries.label_sets(), _distance_rows(queries.data, db, m)):
+    ap_values, ranks = {m: [] for m in scanned}, {m: [] for m in scanned}
+    for q_set, rows in zip(queries.label_sets(), _distance_rows(queries.data, db, scanned)):
         hit = np.zeros(labels.size, dtype=bool)
         for label in q_set:  # a query has one to a few labels: an equality pass each beats np.isin
             hit |= labels == label
         relevant = np.zeros(n, dtype=bool)
         relevant[owner[hit]] = True
-        q_ranks = _relevant_ranks(dists, db.ids, relevant)
-        rel = np.zeros(head)  # AP reads only the first r_cutoff ranks
-        rel[q_ranks[q_ranks < head]] = 1.0
-        ap_values.append(average_precision(rel, q_ranks.size, r_cutoff))
-        ranks.append(q_ranks)
-    return EvalReport(float(np.mean(ap_values)), ranks, n, tuple(precision_at))
+        for m, dists in zip(scanned, rows):
+            q_ranks = _relevant_ranks(dists, db.ids, relevant)
+            rel = np.zeros(head)  # AP reads only the first r_cutoff ranks
+            rel[q_ranks[q_ranks < head]] = 1.0
+            ap_values[m].append(average_precision(rel, q_ranks.size, r_cutoff))
+            ranks[m].append(q_ranks)
+    reports = {m: EvalReport(float(np.mean(ap_values[m])), ranks[m], n, tuple(precision_at)) for m in scanned}
+    return [reports[m] for m in levels]

@@ -20,7 +20,7 @@ from recurq import (
 )
 from recurq import core
 from recurq.core import LabelSets, _forward, _row_blocks
-from recurq.index import _QUERY_BLOCK, adc_distances, average_precision, _prefix_reconstructions, _relevant_ranks, database_from_codes
+from recurq.index import _QUERY_BLOCK, _adc_scan, adc_distances, average_precision, evaluate_prefixes, _prefix_reconstructions, _relevant_ranks, database_from_codes
 from recurq.synth import synth_dataset
 
 # numpy's w ** np.arange(4) and Python's w ** 3 differ in the last bit of w^3 for this w
@@ -339,6 +339,28 @@ def test_search_batch_across_row_blocks(nq):
         assert_batch_matches_per_query(queries[:nq], db, 50, prefix_m)
 
 
+@pytest.mark.parametrize("nq", [1, 2, 17])
+@pytest.mark.parametrize("dyadic", [True, False])
+def test_multi_prefix_scan_equals_reference(nq, dyadic):
+    # one scan finishes every prefix; each must equal a one-query, one-prefix sum bit for bit
+    rng = np.random.default_rng(100 * nq + dyadic)
+    n = 70_000  # above one 2^16-row block, the longest (at Q=1)
+    assert len(_row_blocks(n, nq)) > 1
+    if dyadic:
+        db, queries = dyadic_tie_index(rng, n, m=4)
+        queries = np.concatenate([queries] * 3)[:nq]
+    else:
+        model = random_model(rng, k=16, d=8, m=4)
+        db = database_from_codes(rng.integers(0, 16, size=(n, 4)), model, ids=rng.permutation(n))
+        queries = rng.normal(size=(nq, 8))
+    for prefixes in ((1, 2, 3, 4), (2, 4), (3,)):
+        dists = _adc_scan(queries, db, prefixes)
+        assert dists.shape == (len(prefixes), nq, n)
+        for m, per_query in zip(prefixes, dists):
+            for q, got in zip(queries, per_query):
+                assert np.array_equal(got, reference_adc_distances(q, db, m))
+
+
 def test_search_batch_contract():
     rng = np.random.default_rng(71)
     model = random_model(rng, m=2)
@@ -511,6 +533,20 @@ def test_relevant_ranks_window_edges():
     assert _relevant_ranks(dists, ids, relevant).tolist() == [1, 4, 6]
 
 
+def test_relevant_ranks_large_ties_match_lexsort():
+    # 20k rows over 5 distances, about a third relevant; the farthest relevant
+    # distance is shared by relevant and irrelevant rows on both sides of it in id order
+    rng = np.random.default_rng(74)
+    n = 20_000
+    dists = rng.choice(np.array([0.5, 1.25, 2.0, 2.75, 3.5]), size=n)
+    relevant = (rng.random(n) < 0.34) & (dists < 3.5)
+    assert relevant[dists == 2.75].any() and not relevant[dists == 2.75].all()
+    for ids in (rng.permutation(n), np.arange(n), rng.integers(0, 50, size=n)):
+        rank_of = np.empty(n, dtype=np.intp)
+        rank_of[np.lexsort((ids, dists))] = np.arange(n)
+        assert np.array_equal(_relevant_ranks(dists, ids, relevant), np.sort(rank_of[relevant]))
+
+
 def assert_same_report(a, b):
     assert a.map_at_r == b.map_at_r
     assert len(a.relevant_ranks) == len(b.relevant_ranks)
@@ -532,6 +568,23 @@ def test_evaluate_on_read_labels_equals_plain_list(tmp_path):
     for prefix_m in (None, 1, 2):
         want = evaluate(queries, db, plain, 25, (1, 10, 600), prefix_m)
         assert_same_report(evaluate(queries, db, loaded, 25, (1, 10, 600), prefix_m), want)
+
+
+def test_evaluate_prefixes_equal_one_prefix_evaluate():
+    # more queries than one multi-prefix scan block, ties at short prefixes, permuted ids
+    rng = np.random.default_rng(75)
+    model = random_model(rng, k=4, d=3, m=4)
+    db = encode_database(rng.normal(size=(3000, 3)), model, ids=rng.permutation(3000))
+    db_labels = [frozenset((int(v),)) for v in rng.integers(0, 6, size=3000)]
+    queries = FeatureMatrix(rng.normal(size=(2 * _QUERY_BLOCK + 3, 3)), labels=rng.integers(0, 6, size=2 * _QUERY_BLOCK + 3))
+    for prefixes in ([1, 2, 3, 4], [4, 2, None], [3]):
+        reports = evaluate_prefixes(queries, db, db_labels, 30, prefixes, (1, 50))
+        assert len(reports) == len(prefixes)
+        for m, report in zip(prefixes, reports):
+            assert_same_report(report, evaluate(queries, db, db_labels, 30, (1, 50), m))
+    for bad in ([], [0], [2, 5]):
+        with pytest.raises(DomainError):
+            evaluate_prefixes(queries, db, db_labels, 30, bad)
 
 
 def test_label_sets_are_immutable():

@@ -15,6 +15,7 @@ from recurq import (
     RqModel,
     TrainConfig,
     encode_database,
+    evaluate,
     kmeans_init,
     load_codes,
     load_model,
@@ -411,6 +412,53 @@ class TestCli:
                    "--db-labels", str(lab), "--map-cutoff", "20",
                    "--prefix-m", "2", "--out", str(tmp_path / "e.txt")])
         assert rc == 0
+
+    def _eval_files(self, tmp_path, m=4):
+        vec, lab = self._synth(tmp_path, n=300, d=6)
+        model_path, codes_path = tmp_path / "m.drqm", tmp_path / "c.drqc"
+        save_model(make_model(np.random.default_rng(76), k=8, d=6, m=m), model_path)
+        assert main(["encode", "--model", str(model_path), "--input", str(vec), "--out", str(codes_path)]) == 0
+        return ["eval", "--model", str(model_path), "--codes", str(codes_path), "--queries", str(vec),
+                "--query-labels", str(lab), "--db-labels", str(lab), "--map-cutoff", "20", "--precision-at", "1,10"]
+
+    def test_eval_prefix_list(self, tmp_path):
+        args = self._eval_files(tmp_path)
+        db = load_codes(tmp_path / "c.drqc", load_model(tmp_path / "m.drqm"))
+        queries = FeatureMatrix(read_fvecs(tmp_path / "data.fvecs"), multi_labels=read_labels(tmp_path / "data.labels"))
+        single = {}
+        for m in (1, 2, 3, 4):  # one length prints the map and precision lines alone, as it always has
+            out = tmp_path / f"e{m}.txt"
+            assert main([*args, "--prefix-m", str(m), "--out", str(out)]) == 0
+            report = evaluate(queries, db, read_labels(tmp_path / "data.labels"), 20, (1, 10), m)
+            single[m] = out.read_text()
+            assert single[m] == f"map@20={report.map_at_r:.6f}\n" + "".join(
+                f"precision@{r}={p:.6f}\n" for r, p in report.precision_at_r)
+        for flag, lengths in (("1,2,4", [1, 2, 4]), ("all", [1, 2, 3, 4]), ("4,1", [4, 1])):
+            out = tmp_path / "multi.txt"
+            assert main([*args, "--prefix-m", flag, "--out", str(out)]) == 0
+            assert out.read_text() == "".join(f"prefix={m}\n{single[m]}" for m in lengths)
+
+    @pytest.mark.parametrize("flag, pr_curve, message", [
+        ("1,2", True, "--pr-curve takes a single --prefix-m length"),
+        ("all", True, "--pr-curve takes a single --prefix-m length"),
+        ("2,x", False, "--prefix-m takes comma-separated integers or 'all'"),
+        ("", False, "--prefix-m takes comma-separated integers or 'all'"),
+        ("2,9", False, "level 9 out of range [1, 4]"),
+    ])
+    def test_eval_bad_prefix_list_exit_code(self, tmp_path, capsys, flag, pr_curve, message):
+        args = self._eval_files(tmp_path)
+        capsys.readouterr()
+        pr = ["--pr-curve", str(tmp_path / "pr.txt")] if pr_curve else []
+        assert main([*args, "--prefix-m", flag, *pr]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {message}")
+        assert not (tmp_path / "pr.txt").exists()
+
+    def test_eval_pr_curve_with_one_prefix(self, tmp_path):
+        args = self._eval_files(tmp_path, m=1)
+        for flag in ("1", "all"):  # all is one length for a one-level model
+            assert main([*args, "--prefix-m", flag, "--pr-curve", str(tmp_path / "pr.txt")]) == 0
+            assert len((tmp_path / "pr.txt").read_text().splitlines()) == 300
 
     def test_encode_empty_input(self, tmp_path):
         vec, _ = self._synth(tmp_path, n=100)
