@@ -216,7 +216,8 @@ def main(argv=None) -> int:
     After a large free, glibc serves arrays of up to 32 MB from its heap and keeps
     up to twice that free there, so without the trim a process that runs commands
     one after another in-process keeps one command's temporaries resident
-    through the next."""
+    through the next. ``malloc_trim(0)`` trims every arena, so it also returns
+    what the encode workers' threads freed in theirs."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

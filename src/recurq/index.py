@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DomainError, FeatureMatrix, RqModel, _as_finite, _label_rows, _level_weights, _reconstructions, _require_level, _require_sub_indices, _row_blocks, _scaled_books, encode_batch
+from .core import DomainError, FeatureMatrix, RqModel, _as_finite, _label_rows, _level_weights, _map_blocks, _reconstructions, _require_level, _require_sub_indices, _row_blocks, _scaled_books, encode_batch
 
 _QUERY_BLOCK = 16  # queries per scan: an (N, 16) float64 distance block, 6.4 MB at N=50k
 
@@ -117,9 +117,12 @@ def database_from_codes(codes: np.ndarray, model: RqModel, ids=None) -> EncodedD
         raise DomainError("ids length must match number of rows")
     # column-major, so the column a query of any prefix length reads is contiguous
     norms, books = np.empty((n, model.levels), order="F"), _scaled_books(model, model.levels)
-    for rows in _row_blocks(n, model.dim):
+
+    def norm_rows(rows):
         for m, recon in enumerate(_reconstructions(codes[rows], books)):
             norms[rows, m] = np.einsum("nd,nd->n", recon, recon)
+
+    _map_blocks(norm_rows, _row_blocks(n, model.dim))
     return EncodedDatabase(codes, norms, model, ids)
 
 

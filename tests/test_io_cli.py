@@ -398,6 +398,22 @@ class TestCli:
         assert "32-bit codes" in capsys.readouterr().out
         assert load_model(model_path).code_bits == 32
 
+    def test_encode_same_bytes_on_one_worker_and_two(self, tmp_path, capsys, monkeypatch):
+        # 5000 rows at K=256 and D=16: 20 encode blocks and 2 error and norm blocks, the last of each short
+        vec, _ = self._synth(tmp_path, n=5000, d=16)
+        model_path = tmp_path / "m.drqm"
+        save_model(make_model(np.random.default_rng(77), k=256, d=16, m=4), model_path)
+        outputs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(recurq.core, "_cpu_count", lambda: workers)
+            codes_path = tmp_path / f"c{workers}.drqc"
+            capsys.readouterr()
+            assert main(["encode", "--model", str(model_path), "--input", str(vec), "--out", str(codes_path)]) == 0
+            errors = [line for line in capsys.readouterr().out.splitlines() if "mean_e_hard" in line]
+            outputs.append((codes_path.read_bytes(), errors))
+        assert len(outputs[0][1]) == 4
+        assert outputs[0] == outputs[1]
+
     def test_prefix_eval(self, tmp_path):
         vec, lab = self._synth(tmp_path)
         model_path = tmp_path / "m.drqm"
