@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import io as rio
-from .core import DomainError, FeatureMatrix, _hard_errors
+from .core import DomainError, FeatureMatrix, _hard_errors, packed_size
 from .index import _QUERY_BLOCK, _prefix_reconstructions, encode_database, evaluate_prefixes, search_batch
 from .synth import synth_dataset
 from .train import TrainConfig, train
@@ -76,6 +76,7 @@ def cmd_train(args) -> int:
 
 def cmd_encode(args) -> int:
     model = rio.load_model(args.model)
+    packed_size(model.levels, model.k)  # a K the code file cannot hold fails before any row is read
     data = rio.read_fvecs(args.input)
     db = encode_database(data, model)
     rio.save_codes(db, args.out)

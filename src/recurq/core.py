@@ -4,11 +4,12 @@ recurrence and its soft-path forward, reconstruction, and code packing.
 All operations here are pure functions over immutable inputs. Distances are
 computed in float64; argmin ties break toward the smallest index.
 
-Hard encoding (:func:`encode_batch`) runs one (rows, D) x (D, K) product per
-row block: every level scales one codebook, so a residual's dot products are
-the input's minus gathered rows of the K x K Gram table C C^T. Above
-``_GRAM_MAX_K`` codewords the table would not fit, and each level runs
-:func:`_recurrence`'s product against the residual, as the soft path does.
+Hard encoding (:func:`encode_batch`) runs one loop at every K: every level
+scales one codebook, so a residual's dot products are the input's, one
+(rows, D) x (D, K) product per row block, minus rows of the Gram table C C^T.
+Up to ``_GRAM_MAX_K`` codewords those rows are gathered from the K x K table,
+built once per call; above it the table would not fit, and each level computes
+its rows by one product C[idx] C^T instead.
 Reconstructions gather rows of the prescaled level books w^(m-1) C.
 
 Encoding, the prefix norms of a database and the per-level hard error run
@@ -36,6 +37,7 @@ import numpy as np
 
 _BLOCK_CELLS = 1 << 16  # entries per (rows, width) block temporary: 256 rows at K=256, 1024 at D=64
 _GRAM_MAX_K = 1024  # largest K whose K x K float64 Gram table encode_batch builds: 8 MB
+_MAX_STORED_K = 1 << 16  # largest K of stored codes: the packer's sub-index words are 1 or 2 bytes
 
 
 class DomainError(ValueError):
@@ -77,11 +79,15 @@ def _require_sub_indices(codes: np.ndarray, k: int) -> None:
         raise DomainError(f"sub-index out of range [0, {k})")
 
 
-def _bits_for_k(k: int, name: str = "K", least: int = 2) -> int:
-    """Bits of one sub-index at codebook size ``k``, a power of two >= ``least``.
-    Stored codes need K >= 2; a model alone may hold one codeword."""
+def _bits_for_k(k: int, name: str = "K", stored: bool = True) -> int:
+    """Bits of one sub-index at codebook size ``k``, a power of two. Stored codes,
+    and the models trained for them, need 2 <= K <= ``_MAX_STORED_K``; a model
+    alone may hold one codeword, or any power of two."""
+    least = 2 if stored else 1
     if k < least or k & (k - 1):
         raise DomainError(f"{name}={k} must be a power of two >= {least}")
+    if stored and k > _MAX_STORED_K:
+        raise DomainError(f"{name}={k} exceeds {_MAX_STORED_K}, the largest codebook stored codes hold")
     return k.bit_length() - 1
 
 
@@ -143,7 +149,7 @@ class RqModel:
         cb = _as_finite(self.codebook, "codebook")
         object.__setattr__(self, "codebook", cb)
         cb.setflags(write=False)
-        _bits_for_k(cb.shape[0], least=1)
+        _bits_for_k(cb.shape[0], stored=False)
         if cb.shape[1] < 1:
             raise DomainError("codebook dimension must be >= 1")
         _require_positive(self.scale, "scale")
@@ -473,30 +479,23 @@ def encode(x, model: RqModel) -> tuple[CodeSequence, QuantTrace]:
 def encode_batch(data, model: RqModel) -> np.ndarray:
     """Vectorized hard-path encoding of an N x D matrix; returns N x M codes.
 
-    Up to K = ``_GRAM_MAX_K`` it runs one (rows, D) x (D, K) product per row
-    block and one K x K Gram table per call; at larger K each level runs
-    :func:`_recurrence`'s own product against the residual."""
+    One loop serves every K: one (rows, D) x (D, K) product per row block, then
+    per level an argmin and a subtraction of scaled Gram rows. Up to K =
+    ``_GRAM_MAX_K`` the rows are gathered from one K x K table per call; at
+    larger K each level computes them by one (rows, D) x (D, K) product."""
     x = _as_finite(data, "data", 2, model.dim)
     codes = np.empty((x.shape[0], model.levels), dtype=np.int64, order="F")  # column per level, as search scans it
-    if model.k > _GRAM_MAX_K:
-        books = _level_books(model)
-
-        def encode_rows(rows):
-            for i, lv in enumerate(_recurrence(x[rows], books)):
-                codes[rows, i] = lv.idx
-
-        _map_blocks(encode_rows, _row_blocks(x.shape[0], model.k))
-        return codes
     # ||h - w c_k||^2 = ||h||^2 - 2w (h.c_k - w ||c_k||^2 / 2), so level m takes the
     # argmin of w ||c_k||^2 / 2 - h.c_k. The shared codebook makes h.c_k a row
     # update of the input's: h.c_k = x.c_k - sum_{j<m} w^j G[idx_j, k], G = C C^T.
-    # Ties: the product form clamps d2 at 0, so codewords whose rounded distance
-    # is <= 0 tie to the smallest index; only codewords within rounding of the
-    # residual get there. Identical codewords have identical columns in x C^T and
-    # G, so here too they score alike and tie to the smallest index; two distinct
-    # codewords that close tie within rounding on either form.
+    # Ties: the per-level product form (_recurrence) clamps d2 at 0, so codewords
+    # whose rounded distance is <= 0 tie to the smallest index; only codewords
+    # within rounding of the residual get there. Identical codewords have identical
+    # columns in x C^T and in G, gathered or computed, so here too they score alike
+    # and tie to the smallest index; two distinct codewords that close tie within
+    # rounding on either form.
     cb = model.codebook
-    gram = cb @ cb.T
+    gram = cb @ cb.T if model.k <= _GRAM_MAX_K else None  # None: each level's rows from one product
     weights = _level_weights(model.scale, model.levels)
     sq = np.einsum("kd,kd->k", cb, cb)
     halves = [(0.5 * w) * sq for w in weights]
@@ -507,7 +506,7 @@ def encode_batch(data, model: RqModel) -> np.ndarray:
             idx = np.argmin(half - cross, axis=1)
             codes[rows, i] = idx
             if i + 1 < model.levels:
-                step = np.take(gram, idx, axis=0)
+                step = np.take(cb, idx, axis=0) @ cb.T if gram is None else np.take(gram, idx, axis=0)
                 step *= w
                 cross -= step
 

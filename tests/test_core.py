@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -259,7 +261,7 @@ def per_level_gemm_codes(x, model):
 def test_encode_batch_equals_per_level_gemm(bits, d, m, n, w, seed, duplicates, hits, gram):
     # Rows that are codewords leave a zero residual after level 1, as serve's
     # codebook of base rows does; duplicated codewords are exact ties. Both sides
-    # of the Gram-table size rule run: gram=False forces the per-level product.
+    # of the Gram-table size rule run: gram=False forces product-built Gram rows.
     rng = np.random.default_rng(seed)
     k = 1 << bits
     cb = rng.normal(size=(k, d))
@@ -271,6 +273,39 @@ def test_encode_batch_equals_per_level_gemm(bits, d, m, n, w, seed, duplicates, 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_GRAM_MAX_K", k if gram else k - 1)
         assert np.array_equal(encode_batch(x, model), per_level_gemm_codes(x, model))
+
+
+@pytest.mark.parametrize("k, d, n, w", [(2048, 32, 100, 0.4), (2048, 8, 100, 1.3), (1 << 16, 8, 1, 0.8),
+                                        (1 << 16, 8, 3, 0.4), (1 << 16, 16, 10, 1.3)])
+def test_encode_batch_equals_per_level_gemm_above_gram_bound(k, d, n, w):
+    # A real K above the Gram-table bound: each level's Gram rows come from one
+    # product. K=2048 encodes 32 rows per block, so 100 rows span four blocks.
+    # Half the rows are duplicated codewords: an exact tie at level 1, then a
+    # residual that is zero or within rounding of it.
+    assert k > core._GRAM_MAX_K
+    rng = np.random.default_rng(k + n)
+    cb = rng.normal(size=(k, d))
+    src, dst = rng.integers(k, size=(2, 20))
+    cb[dst] = cb[src]
+    x = rng.normal(size=(n, d))
+    x[::2] = cb[rng.choice(dst, size=len(x[::2]))]
+    model = RqModel(cb, w, 5.0, 8)
+    assert np.array_equal(encode_batch(x, model), per_level_gemm_codes(x, model))
+
+
+def test_encode_memory_above_gram_bound_does_not_grow_with_levels_times_k():
+    # K=2^16, D=64, M=8: M scaled copies of the 32 MB codebook would take 256 MB
+    rng = np.random.default_rng(72)
+    model = RqModel(rng.normal(size=(1 << 16, 64)), 0.8, 5.0, 8)
+    x = rng.normal(size=(10, 64))
+    tracemalloc.start()
+    try:
+        codes = encode_batch(x, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert codes.shape == (10, 8)
+    assert peak < 16 << 20
 
 
 def test_duplicate_codewords_tie_to_smallest_index_after_zero_residual():
@@ -500,6 +535,10 @@ class TestModelInvariants:
         with pytest.raises(DomainError, match="K=3 must be a power of two >= 1"):
             RqModel(np.zeros((3, 2)), 0.5, 20.0, 1)
 
+    def test_holds_more_codewords_than_stored_codes(self):
+        # the 2^16 bound is the code file's: a model in memory may be larger
+        assert RqModel(np.zeros((1 << 17, 1)), 0.5, 20.0, 2).code_bits == 34
+
     def test_rejects_zero_dimension(self):
         with pytest.raises(DomainError, match="dimension"):
             RqModel(np.zeros((4, 0)), 0.5, 20.0, 1)
@@ -536,6 +575,11 @@ def _rule_cases():
         "reconstruct_soft-level": (lambda: reconstruct_soft(trace, 0), r"level 0 out of range \[1, 2\]"),
         "slice_prefix-level": (lambda: slice_prefix(code, 0), r"level 0 out of range \[1, 2\]"),
         "packed_size-k": (lambda: packed_size(2, 1), "K=1 must be a power of two >= 2"),
+        "packed_size-k-above-stored-max": (lambda: packed_size(2, 1 << 17), "K=131072 exceeds 65536"),
+        "pack_rows-k-above-stored-max": (lambda: pack_rows(np.zeros((1, 2), dtype=np.int64), 1 << 17),
+                                         "K=131072 exceeds 65536"),
+        "unpack_rows-k-above-stored-max": (lambda: unpack_rows(np.zeros((1, 5), dtype=np.uint8), 2, 1 << 17),
+                                           "K=131072 exceeds 65536"),
     }
 
 

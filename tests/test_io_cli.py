@@ -501,6 +501,18 @@ class TestCli:
         assert "data width 7 does not match model dim 6" in capsys.readouterr().err
         assert not (tmp_path / "c.drqc").exists()
 
+    def test_encode_k_above_stored_max_exit_code(self, tmp_path, capsys):
+        # a model may hold 2^17 codewords, but its codes would need 3-byte words
+        model_path = tmp_path / "m.drqm"
+        save_model(make_model(np.random.default_rng(71), k=1 << 17, d=2, m=2), model_path)
+        vec = tmp_path / "x.fvecs"
+        write_fvecs(np.ones((3, 2)), vec)
+        for data in (vec, tmp_path / "missing.fvecs"):  # fails before the input is read
+            rc = main(["encode", "--model", str(model_path), "--input", str(data), "--out", str(tmp_path / "c.drqc")])
+            assert rc == 2
+            assert "K=131072 exceeds 65536" in capsys.readouterr().err
+            assert not (tmp_path / "c.drqc").exists()
+
     def test_reconstruct_consistency(self, tmp_path, capsys):
         vec, _ = self._synth(tmp_path, n=200)
         model_path = tmp_path / "m.drqm"
@@ -633,8 +645,9 @@ class TestCli:
         (["--gamma", "0"], "gamma must be finite and positive"),
         (["--lr", "nan"], "lr must be finite and positive"),
         (["--seed", "-1"], "seed -1 must be in [0, 2^64)"),
+        (["--k", "131072"], "k=131072 exceeds 65536"),
     ], ids=["no-flags", "negative-epochs", "k-not-power-of-two", "k-one", "m-zero", "gamma-zero", "lr-nan",
-            "seed-negative"])
+            "seed-negative", "k-above-stored-max"])
     def test_bad_train_options_fail_before_reading_input(self, tmp_path, capsys, options, reason):
         rc = main(["train", "--input", str(tmp_path / "missing.fvecs"), "--k", "8", "--m", "1",
                    *options, "--out", str(tmp_path / "m.drqm")])

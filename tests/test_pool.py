@@ -50,6 +50,7 @@ def test_pool_gives_serial_bits(n, gram):
     for workers in (1, 2):
         with pytest.MonkeyPatch.context() as mp:
             force_workers(mp, workers)
+            # gram=False forces product-built Gram rows
             mp.setattr(core, "_GRAM_MAX_K", model.k if gram else model.k - 1)
             codes = encode_batch(x, model)
             db = database_from_codes(codes, model)
