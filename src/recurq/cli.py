@@ -13,6 +13,7 @@ import ctypes
 import dataclasses
 import json
 import sys
+import typing
 
 from . import io as rio
 from .core import DomainError, FeatureMatrix, _hard_errors, packed_size
@@ -96,7 +97,8 @@ def cmd_search(args) -> int:
     db = rio.load_codes(args.codes, model)
     queries = rio.read_fvecs(args.queries)
     with _output(args.out) as out:
-        for start in range(0, len(queries), _QUERY_BLOCK):
+        # one call at least, so an empty query file still gets --topk and --prefix-m checked
+        for start in range(0, max(len(queries), 1), _QUERY_BLOCK):
             block_ids, block_dists = search_batch(queries[start : start + _QUERY_BLOCK], db, args.topk, args.prefix_m)
             for qi, ids, dists in zip(range(start, len(queries)), block_ids, block_dists):
                 for rank, (i, dist) in enumerate(zip(ids, dists), start=1):
@@ -164,17 +166,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a quantizer model")
     p.add_argument("--input", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    # TrainConfig fields: an option left out takes the field's default
-    p.add_argument("--gamma", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--lr", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--batch-size", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--epochs-stage2", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--epochs-stage3", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--loss-flags", type=_parse_flags, default=argparse.SUPPRESS)
-    p.add_argument("--init", default=argparse.SUPPRESS)
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    types = {**typing.get_type_hints(TrainConfig), "loss_flags": _parse_flags}
+    for f in dataclasses.fields(TrainConfig):  # one option per field; one left out takes the field's default
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=types[f.name], required=f.default is dataclasses.MISSING,
+                       default=argparse.SUPPRESS)
     p.add_argument("--log")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
@@ -218,7 +213,8 @@ def main(argv=None) -> int:
     up to twice that free there, so without the trim a process that runs commands
     one after another in-process keeps one command's temporaries resident
     through the next. ``malloc_trim(0)`` trims every arena, so it also returns
-    what the encode workers' threads freed in theirs."""
+    what the encode helpers freed in theirs: glibc keeps an exited thread's
+    arena for the next thread, so the helpers' joins return none of it."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -14,11 +14,12 @@ Reconstructions gather rows of the prescaled level books w^(m-1) C.
 
 Encoding, the prefix norms of a database and the per-level hard error run
 their row blocks on every CPU in the process's affinity mask
-(:func:`_map_blocks`; ``taskset`` limits them). Each block writes only its own
-rows, and the blocks and their products keep their shapes, so every worker
-count gives the same bits. Search and evaluation scans stay on the calling
-thread: their row blocks pooled the same way raised the benchmark's search tail
-latency by 40-46% and gave no gain in evaluation throughput.
+(:func:`_map_blocks`; ``taskset`` limits them), on helper threads that each
+call starts and joins, so no thread outlives the call. Each block writes only
+its own rows, and the blocks and their products keep their shapes, so every
+worker count gives the same bits. Search and evaluation scans stay on the
+calling thread: their row blocks run the same way raised the benchmark's
+search tail latency by 40-46% and gave no gain in evaluation throughput.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import operator
 import os
 import threading
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import NamedTuple
@@ -292,13 +292,11 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-_POOLS: dict[int, ThreadPoolExecutor] = {}  # by process id: a forked child builds its own
-
-
 def _map_blocks(fn, blocks: list[slice]) -> list:
     """``[fn(rows) for rows in blocks]`` on one thread per usable CPU: the
-    caller's thread and helpers from a pool, each taking the next block when it
-    finishes one.
+    caller's thread and helper threads started for this call, each taking the
+    next block when it finishes one. The helpers are joined before the call
+    returns, so no thread outlives it.
 
     ``fn`` must write only its own rows of any shared output, so the blocks may
     run in any order; the results come back in block order. numpy releases the
@@ -309,35 +307,35 @@ def _map_blocks(fn, blocks: list[slice]) -> list:
     error state (``np.errstate``, a context variable) holds there too. An
     exception from a block reaches the caller unchanged, once every helper has
     stopped."""
-    cpus = _cpu_count()
-    helpers = min(cpus, len(blocks)) - 1
+    helpers = min(_cpu_count(), len(blocks)) - 1
     if helpers < 1:
         return [fn(rows) for rows in blocks]
-    pid = os.getpid()
-    # setdefault keeps one pool if two threads get here at once; an executor
-    # starts no thread before its first task, so the loser costs nothing
-    pool = _POOLS.get(pid) or _POOLS.setdefault(pid, ThreadPoolExecutor(cpus - 1))
     results, claim, todo = [None] * len(blocks), threading.Lock(), iter(range(len(blocks)))
+    failures = []
 
     def work():
-        while True:
-            with claim:
-                i = next(todo, None)
-            if i is None:
-                return
-            results[i] = fn(blocks[i])
+        try:
+            while True:
+                with claim:
+                    i = next(todo, None)
+                if i is None:
+                    return
+                results[i] = fn(blocks[i])
+        except BaseException as exc:  # raised on the caller's thread once every helper has stopped
+            failures.append(exc)
 
-    context = contextvars.copy_context()
-    futures = [pool.submit(context.copy().run, work) for _ in range(helpers)]
+    context, threads = contextvars.copy_context(), []
     try:
+        for _ in range(helpers):
+            thread = threading.Thread(target=context.copy().run, args=(work,))
+            thread.start()
+            threads.append(thread)
         work()
     finally:
-        for future in futures:
-            future.cancel()  # a helper that has not started would find no block left
-        wait(futures)
-    for future in futures:
-        if not future.cancelled():
-            future.result()
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[0]
     return results
 
 

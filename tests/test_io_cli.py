@@ -386,6 +386,27 @@ class TestCli:
                            for rank, (i, dist) in enumerate(zip(*search(q, db, 40, prefix_m)), start=1))
             assert paths["out.txt"].read_text() == want
 
+    @pytest.mark.parametrize("options, message", [
+        (["--topk", "0"], "top_k must be >= 1"),
+        (["--topk", "3", "--prefix-m", "9"], "level 9 out of range [1, 2]"),
+        (["--topk", "3", "--prefix-m", "1"], None),
+    ], ids=["topk-zero", "prefix-above-m", "valid"])
+    def test_search_empty_query_file_checks_options(self, tmp_path, capsys, options, message):
+        rng = np.random.default_rng(78)
+        model = make_model(rng, d=8, m=2)
+        paths = {name: tmp_path / name for name in ("m.drqm", "c.drqc", "q.fvecs", "out.txt")}
+        save_model(model, paths["m.drqm"])
+        save_codes(encode_database(rng.normal(size=(300, 8)), model), paths["c.drqc"])
+        paths["q.fvecs"].write_bytes(b"")
+        capsys.readouterr()
+        rc = main(["search", "--model", str(paths["m.drqm"]), "--codes", str(paths["c.drqc"]),
+                   "--queries", str(paths["q.fvecs"]), *options, "--out", str(paths["out.txt"])])
+        if message is None:
+            assert rc == 0 and paths["out.txt"].read_text() == ""
+        else:
+            assert rc == 2
+            assert capsys.readouterr().err.startswith(f"error: {message}")
+
     def test_code_length_flags(self, tmp_path, capsys):
         vec, _ = self._synth(tmp_path, n=300)
         model_path = tmp_path / "m.drqm"

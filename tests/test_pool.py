@@ -1,10 +1,13 @@
-"""The row-block pool (``core._map_blocks``): encode, prefix norms and the
-per-level error give the serial loop's bits on any worker count, and the pool
-passes errors, numpy's error state, forks and tracing through unchanged."""
+"""The row-block helpers (``core._map_blocks``): encode, prefix norms and the
+per-level error give the serial loop's bits on any worker count, the helpers
+pass errors, numpy's error state, forks and tracing through unchanged, and no
+helper thread outlives its call."""
 
 import importlib
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -93,13 +96,12 @@ def test_caller_error_state_holds_in_blocks(monkeypatch):
     assert np.all(np.isinf(errors))
 
 
-def test_child_forked_after_pool_exists_encodes(monkeypatch):
+def test_child_forked_after_threaded_call_encodes(monkeypatch):
     force_workers(monkeypatch, 2)
     rng = np.random.default_rng(72)
     model = RqModel(rng.normal(size=(256, 16)), 0.6, 20.0, 4)
     x = rng.normal(size=(5000, 16))
     expected = encode_database(x, model)
-    assert os.getpid() in core._POOLS
     with warnings.catch_warnings():
         # Python 3.12+ warns that fork() in a process with threads may deadlock: the case under test
         warnings.simplefilter("ignore", DeprecationWarning)
@@ -125,9 +127,40 @@ def test_child_forked_after_pool_exists_encodes(monkeypatch):
     assert os.waitstatus_to_exitcode(status) == 0
 
 
+_NO_SURVIVING_THREAD = """
+import sys, threading
+import numpy as np
+from recurq import RqModel, core, encode_database
+from recurq.io import load_codes, save_codes
+core._cpu_count = lambda: 2
+rng = np.random.default_rng(75)
+model = RqModel(rng.normal(size=(256, 16)), 0.6, 20.0, 4)
+x = rng.normal(size=(10_000, 16))  # 40 encode blocks, 3 norm and error blocks
+counts = []
+db = encode_database(x, model)
+counts.append(threading.active_count())
+save_codes(db, sys.argv[1])
+load_codes(sys.argv[1], model)
+counts.append(threading.active_count())
+core._hard_errors(x, db.codes, model)
+counts.append(threading.active_count())
+print(counts)
+"""
+
+
+def test_no_helper_thread_outlives_a_call(tmp_path):
+    # A fresh interpreter: threads that pytest or earlier tests left would count too.
+    src = str(Path(core.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-c", _NO_SURVIVING_THREAD, str(tmp_path / "c.drqc")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[1, 1, 1]"
+
+
 def test_traced_functions_stay_on_the_calling_thread(monkeypatch, tmp_path):
     # The benchmark's span tracer keeps one stack; a wrapped function called
-    # from a pooled block would push onto it from another thread.
+    # from a block on a helper thread would push onto it from another thread.
     monkeypatch.syspath_prepend(str(BENCH))
     wraps = importlib.import_module("layers").WRAPS
     force_workers(monkeypatch, 2)
@@ -155,14 +188,14 @@ def test_traced_functions_stay_on_the_calling_thread(monkeypatch, tmp_path):
     assert main(["search", "--model", str(model_path), "--codes", str(codes_path), "--queries", str(vec),
                  "--topk", "3", "--out", str(tmp_path / "s.txt")]) == 0
     assert traced and set(traced) == {threading.get_ident()}
-    assert set(blocks) - {threading.get_ident()}, "no block ran on a pool thread"
+    assert set(blocks) - {threading.get_ident()}, "no block ran on a helper thread"
 
 
 def test_encode_database_peak_memory_grows_only_by_its_outputs(monkeypatch):
     force_workers(monkeypatch, 2)
     rng = np.random.default_rng(73)
     model = RqModel(rng.normal(size=(256, 16)), 0.6, 20.0, 8)
-    encode_database(rng.normal(size=(2000, 16)), model)  # the pool's threads exist before the first trace
+    encode_database(rng.normal(size=(2000, 16)), model)  # one-time first-call allocations stay out of the traces
     peaks, outputs = {}, {}
     for n in (20_000, 80_000):
         x = rng.normal(size=(n, 16))
